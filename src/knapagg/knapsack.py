@@ -2,13 +2,22 @@
 
 Minimizes a nonnegative cost over {x >= 0 integer : weights . x = rhs} by
 a value-indexed table: cell v holds the cheapest cost of hitting value v
-exactly, or None when v is unreachable.  Unbounded variables are fine
-because weights are strictly positive, so the table is finite.  Budget caps
-refuse tables that would not fit before allocating anything.
+exactly, or marks v unreachable.  Unbounded variables are fine because
+weights are strictly positive, so the table is finite.  Budget caps refuse
+tables that would not fit before allocating anything.
+
+Two fills compute the same table.  The reference loop runs value by value
+on Python integers, so costs of any size stay exact.  When numpy imports
+and the table is large enough to repay it, the table is filled column by
+column on int64 arrays instead, but only after an integer proof that no
+value can overflow (max(costs) * (rhs + 1) < 2**62); that path is integer
+arithmetic too.  One reconstruction reads the point back from either table.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .aggregation import KnapsackInstance, build_knapsack
@@ -22,7 +31,9 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 @dataclass(frozen=True)
 class SolverBudget:
-    """Caps on table size: rhs itself and rows-times-rhs cell count."""
+    """Caps on table size: the aggregated rhs, and the cell count
+    n * (rhs + 1), one cell per column and table value, that the fill visits.
+    """
 
     max_rhs: int = 10_000_000
     max_cells: int = 1_000_000_000
@@ -58,18 +69,147 @@ class Solution:
     columns: tuple[int, ...] | None = None
 
 
+# Sentinel for an unreachable value in the int64 table.  The fill runs on
+# int64 only when _fits_int64 proves every reachable value lies below it.
+_INF = 1 << 62
+
+# Table sizes (cells) from which the int64 fill pays off.  Measured on a
+# 2-core x86-64 VM with CPython 3.11 and numpy 2.4: `import numpy` takes
+# about 0.08 s, the Python fill about 90 ns per cell, the int64 fill about
+# 8 ns per cell plus 8 us per column.  A process that has not imported numpy
+# repays the import from about 10**6 cells; once numpy is loaded the int64
+# fill wins from about 100 table values per column, which 2,000 cells
+# covers for up to 20 columns.
+_NUMPY_COLD_CELLS = 1_000_000
+_NUMPY_WARM_CELLS = 2_000
+
+
+def _fits_int64(costs: tuple[int, ...], rhs: int) -> bool:
+    """No-overflow proof for _fill_int64, in Python integers.
+
+    A reachable value v costs at most max(costs) * v, since every weight is
+    at least 1; under max(costs) * (rhs + 1) < _INF every reachable value
+    is below _INF, and every intermediate of the fill, a table entry minus
+    at most rhs * max(costs), lies in (-2**62, 2**62].
+    """
+    return max(costs, default=0) * (rhs + 1) < _INF
+
+
+def _use_int64_fill(kp: KnapsackInstance, cells: int) -> bool:
+    """True when the int64 fill is exact, large enough to pay, and numpy imports."""
+    if not _fits_int64(kp.costs, kp.rhs):
+        return False
+    loaded = sys.modules.get("numpy") is not None
+    if cells < (_NUMPY_WARM_CELLS if loaded else _NUMPY_COLD_CELLS):
+        return False
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+def _fill_python(
+    weights: tuple[int, ...], costs: tuple[int, ...], rhs: int
+) -> list[int | None]:
+    """Reference fill on Python integers; None marks an unreachable value."""
+    n = len(weights)
+    best: list[int | None] = [None] * (rhs + 1)
+    best[0] = 0
+    for v in range(1, rhs + 1):
+        cur: int | None = None
+        for j in range(n):
+            w = weights[j]
+            if w > v:
+                continue
+            prev = best[v - w]
+            if prev is None:
+                continue
+            cand = prev + costs[j]
+            if cur is None or cand < cur:
+                cur = cand
+        best[v] = cur
+    return best
+
+
+def _fill_int64(
+    weights: tuple[int, ...], costs: tuple[int, ...], rhs: int
+) -> memoryview:
+    """Column-by-column fill on int64 arrays; _INF marks an unreachable value.
+
+    Exact only under _fits_int64(costs, rhs).  For a column of weight w and
+    cost c, each residue class of values mod w is one running minimum:
+    best[r + k*w] = k*c + min over i <= k of (best[r + i*w] - i*c).  The
+    values below (rhs + 1) // w * w form a (rows, w) view, whose columns are
+    the residue classes; the remaining values are the first entries of one
+    more row and continue the running minimum of the last full row.  An
+    unreachable value stays exactly _INF: if every earlier entry of its
+    class is _INF, the minimum is _INF - k*c, taken at i = k.
+    """
+    import numpy as np
+
+    size = rhs + 1
+    best = np.full(size, _INF, dtype=np.int64)
+    best[0] = 0
+    for w, c in zip(weights, costs):
+        if w > rhs:
+            continue
+        rows, tail = divmod(size, w)
+        table = best[: rows * w].reshape(rows, w)
+        ramp = np.arange(rows, dtype=np.int64)
+        ramp *= c
+        table -= ramp[:, None]
+        np.minimum.accumulate(table, axis=0, out=table)
+        if tail:
+            rest = best[rows * w :]
+            rest -= rows * c
+            np.minimum(rest, table[-1, :tail], out=rest)
+            rest += rows * c
+        table += ramp[:, None]
+    return memoryview(best)
+
+
+def _reconstruct(
+    best: Sequence[int | None],
+    weights: tuple[int, ...],
+    costs: tuple[int, ...],
+    rhs: int,
+) -> tuple[int, ...]:
+    """Walk a filled table back from rhs to 0.
+
+    At each value take the smallest column j with best[v - w_j] + c_j ==
+    best[v]: the column the fill's strict minimum keeps, so both fills give
+    the same point.  An unreachable predecessor never matches, whether it
+    is None or _INF, because best[v] is reachable and below _INF.
+    """
+    x = [0] * len(weights)
+    v = rhs
+    while v > 0:
+        target = best[v]
+        for j, w in enumerate(weights):
+            if w <= v:
+                prev = best[v - w]
+                if prev is not None and prev + costs[j] == target:
+                    break
+        x[j] += 1
+        v -= w
+    return tuple(x)
+
+
 def solve_knapsack(
     kp: KnapsackInstance, budget: SolverBudget | None = None
 ) -> KnapsackSolution:
     """Exact minimum over the aggregated equality, or infeasible/over-budget.
 
-    Ties between columns are broken toward the smallest index at every value,
-    and reconstruction follows those recorded choices, so identical inputs
-    always return the identical point.
+    Ties between columns are broken toward the smallest index at every value.
+    The point is read back from the table of best values alone by the same
+    rule, so identical inputs always return the identical point, whichever
+    fill computed the table.
     """
     if budget is None:
         budget = SolverBudget()
     n = len(kp.weights)
+    cells = n * (kp.rhs + 1)
     if kp.rhs > budget.max_rhs:
         return KnapsackSolution(
             None,
@@ -80,46 +220,30 @@ def solve_knapsack(
                 f"max_rhs {budget.max_rhs}"
             ),
         )
-    if n * kp.rhs > budget.max_cells:
+    if cells > budget.max_cells:
         return KnapsackSolution(
             None,
             None,
             BUDGET_EXCEEDED,
             detail=(
-                f"table of {n} x {kp.rhs} cells exceeds max_cells "
+                f"table of {n} x {kp.rhs + 1} = {cells} cells exceeds max_cells "
                 f"{budget.max_cells} (aggregated rhs is prod(b_i + 1) - 1)"
             ),
         )
-    best: list[int | None] = [None] * (kp.rhs + 1)
-    choice: list[int] = [-1] * (kp.rhs + 1)
-    best[0] = 0
-    for v in range(1, kp.rhs + 1):
-        cur: int | None = None
-        pick = -1
-        for j in range(n):
-            w = kp.weights[j]
-            if w > v:
-                continue
-            prev = best[v - w]
-            if prev is None:
-                continue
-            cand = prev + kp.costs[j]
-            if cur is None or cand < cur:
-                cur = cand
-                pick = j
-        best[v] = cur
-        choice[v] = pick
-    if best[kp.rhs] is None:
+    if _use_int64_fill(kp, cells):
+        best: Sequence[int | None] = _fill_int64(kp.weights, kp.costs, kp.rhs)
+        unreachable: int | None = _INF
+    else:
+        best = _fill_python(kp.weights, kp.costs, kp.rhs)
+        unreachable = None
+    value = best[kp.rhs]
+    if value == unreachable:
         return KnapsackSolution(
             None, None, INFEASIBLE, detail="no nonnegative integer combination hits rhs"
         )
-    x = [0] * n
-    v = kp.rhs
-    while v > 0:
-        j = choice[v]
-        x[j] += 1
-        v -= kp.weights[j]
-    return KnapsackSolution(tuple(x), best[kp.rhs], OPTIMAL)
+    return KnapsackSolution(
+        _reconstruct(best, kp.weights, kp.costs, kp.rhs), value, OPTIMAL
+    )
 
 
 def solve_original(

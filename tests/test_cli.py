@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knapagg
 from knapagg.cli import main
 
 DEMO = {
@@ -225,3 +230,31 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     main(["oracle", path])
     fourth = capsys.readouterr().out
     assert third == fourth
+
+
+def test_small_solve_does_not_import_numpy(tmp_path):
+    # a fresh process pays about 0.1 s for numpy, which a table of a few
+    # thousand cells never earns back, so the CLI must not import it for one
+    doc = dict(DEMO, b=["40", "60"])
+    src = str(Path(knapagg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    script = (
+        "import sys\n"
+        "from knapagg.cli import main\n"
+        "code = main(['solve', sys.argv[1]])\n"
+        "assert 'numpy' not in sys.modules, 'solve imported numpy'\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, _write(tmp_path, doc)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["surrogate"]["rhs"] == "2500"
+    assert result["x"] == ["0", "40", "20"]

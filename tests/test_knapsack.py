@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
+from knapagg import knapsack
 from knapagg import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
@@ -71,8 +73,14 @@ def test_dp_rhs_budget():
 
 
 def test_dp_cell_budget():
-    sol = solve_knapsack(_kp((1, 2, 3), 100, (0, 0, 0)), SolverBudget(max_cells=200))
+    kp = _kp((1, 2, 3), 100, (0, 0, 0))
+    sol = solve_knapsack(kp, SolverBudget(max_cells=200))
     assert sol.status == BUDGET_EXCEEDED
+    # three columns over the values 0..100 make 3 * 101 = 303 cells
+    assert solve_knapsack(kp, SolverBudget(max_cells=303)).status == OPTIMAL
+    sol = solve_knapsack(kp, SolverBudget(max_cells=302))
+    assert sol.status == BUDGET_EXCEEDED
+    assert "3 x 101 = 303 cells" in sol.detail
 
 
 def test_budget_validation():
@@ -276,3 +284,120 @@ def test_solve_original_zero_rhs_row_can_prove_infeasibility():
     inst = IPInstance.from_rows([[1, 2], [1, 0]], [0, 3], [1, 1])
     sol = solve_original(inst)
     assert sol.status == INFEASIBLE
+
+
+def _int64_agrees_with_python(weights, rhs, costs):
+    """Run both fills directly; return the shared best[rhs] and point."""
+    weights, costs = tuple(weights), tuple(costs)
+    ref = knapsack._fill_python(weights, costs, rhs)
+    fast = knapsack._fill_int64(weights, costs, rhs)
+    assert [None if v == knapsack._INF else v for v in fast] == ref
+    if ref[rhs] is None:
+        return None, None
+    x = knapsack._reconstruct(ref, weights, costs, rhs)
+    assert knapsack._reconstruct(fast, weights, costs, rhs) == x
+    assert sum(w * v for w, v in zip(weights, x)) == rhs
+    assert sum(c * v for c, v in zip(costs, x)) == ref[rhs]
+    return ref[rhs], x
+
+
+def _record_fills(monkeypatch):
+    ran = []
+    for name in ("_fill_python", "_fill_int64"):
+        fill = getattr(knapsack, name)
+
+        def spy(*args, _fill=fill, _name=name):
+            ran.append(_name)
+            return _fill(*args)
+
+        monkeypatch.setattr(knapsack, name, spy)
+    return ran
+
+
+def test_int64_fill_matches_python_fill_on_random_surrogates():
+    pytest.importorskip("numpy")
+    rng = random.Random(4242)
+    infeasible = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rhs = rng.choice((0, 1, rng.randint(2, 40), rng.randint(41, 600)))
+        # weights may exceed rhs; without a unit weight some values stay
+        # unreachable, and costs run from zero to 40 bits
+        weights = [rng.randint(1, rhs + 5) for _ in range(n)]
+        bits = rng.choice((1, 8, 40))
+        costs = [rng.randint(0, 2**bits) for _ in range(n)]
+        value, _ = _int64_agrees_with_python(weights, rhs, costs)
+        infeasible += value is None
+    assert infeasible > 10
+
+
+def test_int64_fill_edge_tables():
+    pytest.importorskip("numpy")
+    assert _int64_agrees_with_python((2, 5), 0, (1, 1)) == (0, (0, 0))
+    assert _int64_agrees_with_python((7, 9), 5, (1, 1)) == (None, None)
+    assert _int64_agrees_with_python((2, 4), 999, (3, 1)) == (None, None)
+    assert _int64_agrees_with_python((4, 7), 11, (1, 1)) == (2, (1, 1))
+
+
+def test_int64_fill_keeps_tie_rule_at_scale():
+    pytest.importorskip("numpy")
+    # equal costs tie every combination with the same item count; costs
+    # proportional to weights tie every combination at each value
+    assert _int64_agrees_with_python((4, 7, 11, 28), 40_000, (1, 1, 1, 1)) == (
+        1431,
+        (0, 0, 4, 1427),
+    )
+    value, x = _int64_agrees_with_python((3, 5, 6, 10, 15), 50_001, (3, 5, 6, 10, 15))
+    assert value == 50_001
+    assert x == (16_667, 0, 0, 0, 0)
+
+
+def test_int64_fill_runs_above_the_threshold(monkeypatch):
+    pytest.importorskip("numpy")
+    rng = random.Random(99)
+    rhs = knapsack._NUMPY_COLD_CELLS // 6
+    weights = (1, *(rng.randint(2, rhs) for _ in range(5)))
+    costs = tuple(rng.randint(0, 2**31) for _ in range(6))
+    kp = _kp(weights, rhs, costs)
+    ran = _record_fills(monkeypatch)
+    sol = solve_knapsack(kp)
+    assert ran == ["_fill_int64"]
+    ref = knapsack._fill_python(weights, costs, rhs)
+    assert sol.value == ref[rhs]
+    assert sol.x == knapsack._reconstruct(ref, weights, costs, rhs)
+
+
+@pytest.mark.parametrize(
+    ("cost", "path"), [(2**48 - 1, "_fill_int64"), (2**48, "_fill_python")]
+)
+def test_overflow_proof_boundary(monkeypatch, cost, path):
+    pytest.importorskip("numpy")
+    # rhs + 1 = 2**14, so max(costs) * (rhs + 1) is 2**62 - 2**14 or 2**62.
+    # Both columns tie everywhere, so the tie rule fills the first one up
+    # to a value just under 2**62.
+    rhs = 2**14 - 1
+    kp = _kp((1, 1), rhs, (cost, cost))
+    assert knapsack._fits_int64(kp.costs, rhs) == (path == "_fill_int64")
+    ran = _record_fills(monkeypatch)
+    sol = solve_knapsack(kp)
+    assert ran == [path]
+    assert sol.status == OPTIMAL
+    assert sol.value == cost * rhs
+    assert sol.x == (rhs, 0)
+
+
+def test_solve_original_without_numpy(monkeypatch):
+    # aggregated rhs 451**2 - 1 over five columns: above the size at which
+    # a process without numpy would import it
+    inst = IPInstance.from_rows(
+        [[1, 0, 1, 2, 0], [0, 1, 1, 1, 3]], [450, 450], [2, 2, 3, 5, 7]
+    )
+    assert 5 * 451**2 >= knapsack._NUMPY_COLD_CELLS
+    usual = solve_original(inst)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    ran = _record_fills(monkeypatch)
+    blocked = solve_original(inst)
+    assert ran == ["_fill_python"]
+    assert blocked == usual
+    assert blocked.status == OPTIMAL
+    assert evaluate(inst, blocked.x).feasible
