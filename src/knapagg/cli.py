@@ -46,13 +46,15 @@ from .knapsack import (
     solve_original,
 )
 from .oracle import (
+    DEFAULT_PIVOT_CAP,
     DEFAULT_POINT_CAP,
     PointSet,
-    brute_force_optimum,
+    _brute_force,
+    _original_hull,
+    _rhs_lower_bound,
+    _vertex_preservation,
     check_convex_combination,
-    check_rhs_lower_bound,
     check_rhs_vertex,
-    check_vertex_preservation,
     enumerate_feasible,
     vertex_set,
 )
@@ -183,7 +185,9 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     if not checks["rhs_vertex"]:
         falsifications.append({"check": "rhs_vertex", "rhs": list(inst.b)})
 
-    preserved = check_vertex_preservation(red.inner, cap)
+    # one enumeration and one hull of the original set serve every check
+    hull = _original_hull(red.inner, cap, DEFAULT_PIVOT_CAP)
+    preserved = _vertex_preservation(red.inner, hull, cap, DEFAULT_PIVOT_CAP)
     checks["vertex_preservation"] = {
         "holds": preserved.holds,
         "vacuous": preserved.vacuous,
@@ -193,7 +197,7 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
             {"check": "vertex_preservation", "data": preserved.counterexample}
         )
 
-    lower = check_rhs_lower_bound(red.inner, cap)
+    lower = _rhs_lower_bound(red.inner, hull)
     checks["rhs_lower_bound"] = {"holds": lower.holds, "vacuous": lower.vacuous}
     if not lower.holds:
         falsifications.append(
@@ -201,7 +205,7 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
         )
 
     sol = solve_original(core)
-    oracle = brute_force_optimum(red.inner, cap)
+    oracle = _brute_force(red.inner, hull.points)
     agree = (
         sol.status == oracle.status == "optimal" and sol.objective == oracle.value
     ) or (sol.status == oracle.status == "infeasible")
@@ -397,3 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console()

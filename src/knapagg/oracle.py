@@ -1,16 +1,17 @@
 """Ground-truth machinery, exact end to end.
 
-Everything here works over Python ints and fractions.Fraction: feasible-set
-enumeration with a hard point cap, convex-hull membership by a phase-1
-simplex with Bland's rule, vertex extraction with rational witnesses, brute
-force optima, and executable forms of the guarantees the aggregation is
-supposed to deliver.  These routines are deliberately independent of the
-dynamic-programming solver so the two can check each other.
+Everything here works over Python ints: feasible-set enumeration with a
+hard point cap, convex-hull membership by a phase-1 simplex with Bland's
+rule that pivots fraction-free on an integer adjugate and determinant and
+returns its weights as exact fractions.Fraction values, vertex extraction
+with rational witnesses, brute force optima, and executable forms of the
+guarantees the aggregation is supposed to deliver.  These routines are
+deliberately independent of the dynamic-programming solver so the two can
+check each other.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -202,11 +203,18 @@ def check_convex_combination(
     """Exact convex weights expressing x0 over others, or None if impossible.
 
     Solves the phase-1 linear program for sum(lam_i * p_i) = x0,
-    sum(lam_i) = 1, lam >= 0 with a revised simplex over Fraction.  Bland's
-    smallest-index rule everywhere, so no cycling; artificial columns never
-    re-enter, which cannot change feasibility of the phase-1 optimum.  The
-    pricing pass clears denominators once per iteration and scans columns
-    with pure integer dot products.  Raises IterationLimit past pivot_cap.
+    sum(lam_i) = 1, lam >= 0 with a revised simplex in integer arithmetic.
+    The basis inverse is held fraction-free as B^{-1} = adj / d with an
+    integer adjugate adj and d = det B > 0, and the basic solution as
+    x_B = xn / d.  A pivot on p = (adj . a)[leave] keeps the leaving row,
+    maps every other row to (p * row - dn_i * lead) / d, which divides
+    exactly (Sylvester's identity, as in Bareiss elimination), and sets
+    d = p.  Pricing scans columns with integer dot products against the
+    sum of the adjugate rows of artificial basics, and the ratio test
+    cross-multiplies.  Bland's smallest-index rule everywhere, so no
+    cycling; artificial columns never re-enter, which cannot change
+    feasibility of the phase-1 optimum.  The weights are returned as exact
+    Fractions xn_i / d.  Raises IterationLimit past pivot_cap.
     """
     pts = [tuple(p) for p in others]
     r = len(pts)
@@ -227,29 +235,20 @@ def check_convex_combination(
     col_tuples = [tuple(col) for col in cols]
 
     basis = [r + i for i in range(rows)]  # artificials
-    binv = [[Fraction(int(i == jj)) for jj in range(rows)] for i in range(rows)]
-    xb = [Fraction(v) for v in rhs]
+    adj = [[int(i == jj) for jj in range(rows)] for i in range(rows)]
+    xn = rhs  # x_B = xn / d
+    d = 1
 
     for _ in range(pivot_cap):
-        infeas = Fraction(0)
-        for i in range(rows):
-            if basis[i] >= r:
-                infeas += xb[i]
-        if infeas == 0:
+        art = [i for i in range(rows) if basis[i] >= r]
+        if not any(xn[i] for i in art):
             lam = [Fraction(0)] * r
             for i in range(rows):
                 if basis[i] < r:
-                    lam[basis[i]] = xb[i]
+                    lam[basis[i]] = Fraction(xn[i], d)
             return tuple(lam)
-        # y = (phase-1 costs of basis) . B^{-1}; artificials cost 1, others 0
-        y = [Fraction(0)] * rows
-        for i in range(rows):
-            if basis[i] >= r:
-                row = binv[i]
-                for t in range(rows):
-                    y[t] += row[t]
-        den = math.lcm(*(v.denominator for v in y))
-        yn = [int(v * den) for v in y]
+        # d * y, y = (phase-1 costs of basis) . B^{-1}; artificials cost 1
+        yn = [sum(adj[i][t] for i in art) for t in range(rows)]
         enter = -1
         for j in range(r):
             col = col_tuples[j]
@@ -262,32 +261,29 @@ def check_convex_combination(
         if enter < 0:
             return None
         col = col_tuples[enter]
-        direction = [
-            sum(binv[i][t] * col[t] for t in range(rows)) for i in range(rows)
-        ]
+        dn = [sum(a * c for a, c in zip(adj[i], col)) for i in range(rows)]
         leave = -1
-        best: Fraction | None = None
         for i in range(rows):
-            if direction[i] > 0:
-                ratio = xb[i] / direction[i]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+            if dn[i] > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                # xn[i] / dn[i] against xn[leave] / dn[leave], both dn > 0
+                here = xn[i] * dn[leave]
+                there = xn[leave] * dn[i]
+                if here < there or (here == there and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise AssertionError("phase-1 objective is bounded; no blocking row found")
-        piv = direction[leave]
-        binv[leave] = [v / piv for v in binv[leave]]
-        xb[leave] /= piv
-        lead = binv[leave]
+        p = dn[leave]
+        lead = adj[leave]
+        xl = xn[leave]
         for i in range(rows):
-            if i != leave and direction[i] != 0:
-                fac = direction[i]
-                row = binv[i]
-                for t in range(rows):
-                    row[t] -= fac * lead[t]
-                xb[i] -= fac * xb[leave]
+            if i != leave:  # rows with dn[i] == 0 are rescaled too
+                fac = dn[i]
+                adj[i] = [(p * a - fac * l) // d for a, l in zip(adj[i], lead)]
+                xn[i] = (p * xn[i] - fac * xl) // d
+        d = p
         basis[leave] = enter
     raise IterationLimit(f"no decision after {pivot_cap} pivots")
 
@@ -349,7 +345,10 @@ def brute_force_optimum(
     The instance must have a finite box (no zero columns), and its sense is
     taken as minimize; canonicalize first for maximize programs.
     """
-    pts = enumerate_feasible(inst.A, inst.b, cap)
+    return _brute_force(inst, enumerate_feasible(inst.A, inst.b, cap))
+
+
+def _brute_force(inst: IPInstance, pts: PointSet) -> BruteForceResult:
     if not pts.points:
         return BruteForceResult("infeasible", None, ())
     values = [
@@ -404,6 +403,16 @@ def _aggregated_row(inst: IPInstance) -> tuple[tuple[int, ...], int]:
     return a, a0
 
 
+def _original_hull(
+    inst: IPInstance, cap: int, pivot_cap: int
+) -> VertexReport:
+    """The original feasible set and its vertices; an empty set is not hulled."""
+    pts = enumerate_feasible(inst.A, inst.b, cap)
+    if not pts.points:
+        return VertexReport(pts, ())
+    return vertex_set(pts, pivot_cap)
+
+
 def check_vertex_preservation(
     inst: IPInstance,
     cap: int = DEFAULT_POINT_CAP,
@@ -416,10 +425,15 @@ def check_vertex_preservation(
     outside the hull of the other aggregated points.  Empty feasible set
     reports vacuous success.
     """
-    pts = enumerate_feasible(inst.A, inst.b, cap)
-    if not pts.points:
+    report = _original_hull(inst, cap, pivot_cap)
+    return _vertex_preservation(inst, report, cap, pivot_cap)
+
+
+def _vertex_preservation(
+    inst: IPInstance, report: VertexReport, cap: int, pivot_cap: int
+) -> CheckOutcome:
+    if not report.points.points:
         return CheckOutcome(True, vacuous=True)
-    report = vertex_set(pts, pivot_cap)
     a, a0 = _aggregated_row(inst)
     agg = enumerate_feasible((a,), (a0,), cap)
     for v in report.vertices:
@@ -447,10 +461,12 @@ def check_rhs_lower_bound(
     pivot_cap: int = DEFAULT_PIVOT_CAP,
 ) -> CheckOutcome:
     """The aggregated rhs dominates prod(v_i + 1) - 1 at every original vertex."""
-    pts = enumerate_feasible(inst.A, inst.b, cap)
-    if not pts.points:
+    return _rhs_lower_bound(inst, _original_hull(inst, cap, pivot_cap))
+
+
+def _rhs_lower_bound(inst: IPInstance, report: VertexReport) -> CheckOutcome:
+    if not report.points.points:
         return CheckOutcome(True, vacuous=True)
-    report = vertex_set(pts, pivot_cap)
     _, a0 = _aggregated_row(inst)
     for v in report.vertices:
         bound = vertex_lower_bound(v)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,18 @@ from pathlib import Path
 import pytest
 
 import knapagg
+import knapagg.oracle
+from knapagg import (
+    IPInstance,
+    brute_force_optimum,
+    canonicalize_minimize,
+    check_rhs_lower_bound,
+    check_rhs_vertex,
+    check_vertex_preservation,
+    preprocess_zero_columns,
+    serialize_instance,
+    solve_original,
+)
 from knapagg.cli import main
 
 DEMO = {
@@ -23,6 +37,13 @@ def _write(tmp_path, doc, name="inst.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _src_env():
+    src = str(Path(knapagg.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
 
 
 def _run(capsys, argv):
@@ -236,10 +257,6 @@ def test_small_solve_does_not_import_numpy(tmp_path):
     # a fresh process pays about 0.1 s for numpy, which a table of a few
     # thousand cells never earns back, so the CLI must not import it for one
     doc = dict(DEMO, b=["40", "60"])
-    src = str(Path(knapagg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     script = (
         "import sys\n"
         "from knapagg.cli import main\n"
@@ -249,7 +266,7 @@ def test_small_solve_does_not_import_numpy(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, _write(tmp_path, doc)],
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -258,3 +275,143 @@ def test_small_solve_does_not_import_numpy(tmp_path):
     result = json.loads(proc.stdout)["result"]
     assert result["surrogate"]["rhs"] == "2500"
     assert result["x"] == ["0", "40", "20"]
+
+
+# sha256 of the stdout of `oracle` and `verify`, recorded when the exact LP
+# still pivoted over Fraction and verify enumerated the original set three
+# times; reruns of one build cannot show a drift between builds, these can
+PINNED = {
+    "demo": DEMO,
+    # a non-vertex whose witness weights are thirds, found by the LP
+    "thirds": {
+        "A": [["6", "4", "2", "1"], ["5", "0", "3", "1"]],
+        "b": ["19", "16"],
+        "c": ["3", "-1", "2", "5"],
+        "sense": "min",
+    },
+    "infeasible": {
+        "A": [["2", "4"], ["1", "1"]],
+        "b": ["3", "1"],
+        "c": ["1", "1"],
+        "sense": "min",
+    },
+}
+PINNED_SHA256 = {
+    ("demo", "oracle"): "12501c81f5d03e9f5d1fd29f32e369a40d67a3704dcfd2d5e83388d66f9780d3",
+    ("demo", "verify"): "79e0c6f8751626f9186180b6a94122c1a379e259b203087d4fb4af2ca46542c6",
+    ("thirds", "oracle"): "b9252a4ba42f0349db54bd3f26c4d57939fc9e5d08d6eb8e77ed14cf6cc1dfa3",
+    ("thirds", "verify"): "121c767ced5222a2ea85e5a5b1a8b3c98104a4fafb84cfdf4fa9d100da3fad65",
+    ("infeasible", "oracle"): "58222bd046304cf2ccb5301605f9d349b4f882ddae413fd6fbd240d232d10b86",
+    ("infeasible", "verify"): "895be99eaee4641e470bd93f8ebf9c94031c2de308c753666cb185f3b2492013",
+}
+
+
+@pytest.mark.parametrize("case,cmd", sorted(PINNED_SHA256))
+def test_report_bytes_are_pinned(tmp_path, capsys, case, cmd):
+    assert main([cmd, _write(tmp_path, PINNED[case])]) == 0
+    out = capsys.readouterr().out
+    if (case, cmd) == ("thirds", "oracle"):
+        assert '"weight": "1/3"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[case, cmd]
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(knapagg.oracle, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(knapagg.oracle, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case,hulls,enumerations", [
+    ("demo", 1, 3),
+    ("infeasible", 0, 2),
+])
+def test_verify_enumerates_and_hulls_the_original_set_once(
+    tmp_path, capsys, monkeypatch, case, hulls, enumerations
+):
+    hulled = _count_calls(monkeypatch, "vertex_set")
+    enumerated = _count_calls(monkeypatch, "enumerate_feasible")
+    code, rep = _run(capsys, ["verify", _write(tmp_path, PINNED[case])])
+    assert code == 0 and rep["status"] == "ok"
+    assert len(hulled) == hulls
+    assert len(enumerated) == enumerations
+
+
+def _as_report(value):
+    if isinstance(value, (bool, str)) or value is None:
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return {k: _as_report(v) for k, v in value.items()}
+
+
+def test_verify_checks_equal_the_public_checks(tmp_path, capsys):
+    rng = random.Random(4242)
+    feasible = 0
+    for k in range(50):
+        n = rng.randint(2, 4)
+        A = [[rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
+        b = [rng.randint(0, 4) for _ in range(2)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        for j in range(n):
+            if A[0][j] == A[1][j] == 0:
+                c[j] = 0  # a free column that improves the objective is unbounded
+        inst = IPInstance.from_rows(A, b, c, rng.choice(("min", "max")))
+        path = tmp_path / f"inst{k}.json"
+        path.write_text(serialize_instance(inst))
+        code, rep = _run(capsys, ["verify", str(path)])
+        assert code == 0, rep
+
+        core = canonicalize_minimize(inst)
+        inner = preprocess_zero_columns(core).inner
+        preserved = check_vertex_preservation(inner)
+        lower = check_rhs_lower_bound(inner)
+        sol = solve_original(core)
+        oracle = brute_force_optimum(inner)
+        agree = (
+            sol.status == oracle.status == "optimal"
+            and sol.objective == oracle.value
+        ) or sol.status == oracle.status == "infeasible"
+        assert rep["result"]["checks"] == _as_report({
+            "rhs_vertex": check_rhs_vertex(inst.b),
+            "vertex_preservation": {
+                "holds": preserved.holds, "vacuous": preserved.vacuous,
+            },
+            "rhs_lower_bound": {"holds": lower.holds, "vacuous": lower.vacuous},
+            "solver_matches_oracle": {
+                "holds": agree,
+                "solver_status": sol.status,
+                "solver_objective": sol.objective,
+                "oracle_status": oracle.status,
+                "oracle_objective": oracle.value,
+            },
+        })
+        assert rep["result"]["falsifications"] == []
+        feasible += oracle.status == "optimal"
+    assert 10 < feasible < 50
+
+
+def test_python_m_knapagg_cli_runs_main(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "knapagg.cli", "solve", _write(tmp_path, DEMO),
+         "--budget-cells", "0"],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "input_error"
+
+
+def test_python_m_knapagg_matches_main(tmp_path, capsys):
+    path = _write(tmp_path, DEMO)
+    proc = subprocess.run(
+        [sys.executable, "-m", "knapagg", "solve", path],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["solve", path]) == 0
+    assert proc.stdout == capsys.readouterr().out

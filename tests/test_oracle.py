@@ -10,6 +10,7 @@ from knapagg import (
     CapExceeded,
     DimensionMismatch,
     IPInstance,
+    IterationLimit,
     PointSet,
     ValidationError,
     brute_force_optimum,
@@ -192,6 +193,119 @@ def test_convex_combination_matches_independent_oracle():
             assert sum(lam) == 1
             for i in range(d):
                 assert sum(l * p[i] for l, p in zip(lam, others)) == x0[i]
+
+
+def _fraction_phase1(x0, others, pivot_cap):
+    # The phase-1 simplex as it ran over Fraction before the integer update,
+    # kept as the reference: the integer pivots must take the same Bland
+    # steps and return the same weights.
+    r, rows = len(others), len(x0) + 1
+    if r == 0:
+        return None
+    rhs = [int(v) for v in x0] + [1]
+    cols = [list(p) + [1] for p in others]
+    for i in range(rows):
+        if rhs[i] < 0:
+            rhs[i] = -rhs[i]
+            for col in cols:
+                col[i] = -col[i]
+    basis = [r + i for i in range(rows)]
+    binv = [[Fraction(int(i == t)) for t in range(rows)] for i in range(rows)]
+    xb = [Fraction(v) for v in rhs]
+    for _ in range(pivot_cap):
+        art = [i for i in range(rows) if basis[i] >= r]
+        if sum(xb[i] for i in art) == 0:
+            lam = [Fraction(0)] * r
+            for i in range(rows):
+                if basis[i] < r:
+                    lam[basis[i]] = xb[i]
+            return tuple(lam)
+        y = [sum((binv[i][t] for i in art), Fraction(0)) for t in range(rows)]
+        enter = next(
+            (j for j in range(r) if sum(a * c for a, c in zip(y, cols[j])) > 0), -1
+        )
+        if enter < 0:
+            return None
+        direction = [sum(a * c for a, c in zip(row, cols[enter])) for row in binv]
+        leave, best = -1, None
+        for i in range(rows):
+            if direction[i] > 0:
+                ratio = xb[i] / direction[i]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best, leave = ratio, i
+        piv = direction[leave]
+        binv[leave] = [v / piv for v in binv[leave]]
+        xb[leave] /= piv
+        for i in range(rows):
+            if i != leave and direction[i] != 0:
+                fac = direction[i]
+                binv[i] = [a - fac * v for a, v in zip(binv[i], binv[leave])]
+                xb[i] -= fac * xb[leave]
+        basis[leave] = enter
+    raise IterationLimit(f"no decision after {pivot_cap} pivots")
+
+
+def _random_lp(rng):
+    # mixes what stresses the pivoting: negative coordinates (the row sign
+    # flip), duplicate points, x0 among the points, and small grids whose
+    # many equal ratios exercise Bland's tie-break
+    d = rng.randint(1, 6)
+    lo, hi = rng.choice(((0, 2), (0, 6), (-3, 3), (-9, 9)))
+    count = rng.randint(1, 20 if d <= 3 else 12)
+    pts = [tuple(rng.randint(lo, hi) for _ in range(d)) for _ in range(count)]
+    for _ in range(rng.randint(0, 3)):
+        pts.append(rng.choice(pts))
+    shape = rng.randrange(4)
+    if shape == 0:
+        x0 = rng.choice(pts)
+    elif shape == 1:
+        # integer point on a segment between two of the points
+        p, q = rng.choice(pts), rng.choice(pts)
+        k = rng.randint(1, 3)
+        x0 = tuple(a + (b - a) // k * rng.randint(0, k) for a, b in zip(p, q))
+    elif shape == 2:
+        # rounded centroid of a few points, usually inside the hull
+        sub = rng.sample(pts, min(len(pts), rng.randint(2, d + 1)))
+        x0 = tuple(sum(c) // len(sub) for c in zip(*sub))
+    else:
+        x0 = tuple(rng.randint(lo - 1, hi + 1) for _ in range(d))
+    rng.shuffle(pts)
+    return x0, pts
+
+
+def test_convex_combination_matches_fraction_reference():
+    rng = random.Random(20240)
+    inside = dims = 0
+    for _ in range(2000):
+        x0, pts = _random_lp(rng)
+        want = _fraction_phase1(x0, pts, 100_000)
+        assert check_convex_combination(x0, pts) == want, (x0, pts)
+        inside += want is not None
+        dims |= 1 << len(x0)
+    assert dims == 0b1111110
+    assert 800 < inside < 1600
+
+
+def test_convex_combination_pivot_cap_boundary_matches_reference():
+    rng = random.Random(9107)
+    deepest = 0
+    for _ in range(100):
+        x0, pts = _random_lp(rng)
+        cap = 0
+        while True:
+            try:
+                want = _fraction_phase1(x0, pts, cap)
+            except IterationLimit:
+                with pytest.raises(IterationLimit):
+                    check_convex_combination(x0, pts, pivot_cap=cap)
+                cap += 1
+                continue
+            assert check_convex_combination(x0, pts, pivot_cap=cap) == want
+            deepest = max(deepest, cap)
+            break
+    assert deepest >= 8
 
 
 def test_vertex_set_collinear():
