@@ -15,10 +15,11 @@ Exit codes: 0 success, 1 infeasible, 2 unbounded, 3 budget or cap exceeded,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .aggregation import aggregate, aggregation_vector, vertex_lower_bound
@@ -49,6 +50,7 @@ from .oracle import (
     DEFAULT_PIVOT_CAP,
     DEFAULT_POINT_CAP,
     PointSet,
+    _aggregated_row,
     _brute_force,
     _original_hull,
     _rhs_lower_bound,
@@ -87,17 +89,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+def _render(value: Any, newline_indent: str) -> str:
+    """The JSON text of a report value, in one pass with no intermediate copy.
+
+    The text is json.dumps(v, indent=2, sort_keys=True) of the value v with
+    every int, Fraction and dict key first turned into a string: ints as
+    decimal strings, a Fraction as "p/q", dict keys as str(k) sorted, lists
+    and tuples alike.  newline_indent is the newline and indentation the
+    value's own line starts with.  Any other type, a float above all, raises
+    TypeError, so no inexact number reaches a report.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
-        return str(value)
+        return '"%d"' % value
+    if isinstance(value, Fraction):
+        return '"%d/%d"' % (value.numerator, value.denominator)
+    inner = newline_indent + "  "
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        if not value:
+            return "[]"
+        items = [_render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline_indent + "]"
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        named = {str(k): v for k, v in value.items()}
+        items = [
+            encode_basestring_ascii(k) + ": " + _render(named[k], inner)
+            for k in sorted(named)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline_indent + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -121,8 +149,10 @@ def _set_block(pts: PointSet, pivot_cap: int) -> dict:
 
 
 def _split_columns(inst: IPInstance) -> tuple[list[int], list[int]]:
-    kept = [j for j in range(inst.n) if any(row[j] > 0 for row in inst.A)]
-    dropped = [j for j in range(inst.n) if j not in kept]
+    kept: list[int] = []
+    dropped: list[int] = []
+    for j, column in enumerate(zip(*inst.A)):
+        (kept if any(v > 0 for v in column) else dropped).append(j)
     return kept, dropped
 
 
@@ -234,8 +264,7 @@ def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     except ValueError as exc:
         raise UsageError(f"--vertex must be a comma-separated integer list: {exc}")
     ev = evaluate(inst, point)  # raises on bad dimension or negative entries
-    f = aggregation_vector(inst.b)
-    a0 = sum(fi * bi for fi, bi in zip(f, inst.b))
+    _, a0 = _aggregated_row(inst.A, inst.b)
     base = {
         "point": list(point),
         "aggregated_rhs": a0,
@@ -289,9 +318,7 @@ def _cmd_oracle(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     kept, _ = _split_columns(inst)
     sub_A = tuple(tuple(row[j] for j in kept) for row in inst.A)
     pts = enumerate_feasible(sub_A, inst.b, args.cap)
-    f = aggregation_vector(inst.b)
-    a = tuple(sum(f[i] * sub_A[i][j] for i in range(inst.m)) for j in range(len(kept)))
-    a0 = sum(fi * bi for fi, bi in zip(f, inst.b))
+    a, a0 = _aggregated_row(sub_A, inst.b)
     agg = enumerate_feasible((a,), (a0,), args.cap)
     result = {
         "coordinates": "kept columns only",
@@ -316,6 +343,7 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the five subcommands; main keeps one per process."""
     parser = _Parser(prog="knapagg", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -344,9 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it found it: each call gets a new
+    # Namespace holding only its own subcommand's defaults
+    return build_parser()
+
+
 def _emit(report: dict, status: str, started: float) -> int:
     report["status"] = status
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(_render(report, "\n"))
     elapsed = time.monotonic() - started
     print(
         f"{report.get('command', '?')}: {status} ({elapsed:.3f}s)",
@@ -356,10 +391,14 @@ def _emit(report: dict, status: str, started: float) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand, write its report to stdout, return the exit code.
+
+    main(argv) may be called any number of times in one process, as a
+    library call; the argument parser is built on the first call and reused.
+    """
     started = time.monotonic()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -396,10 +396,13 @@ def check_rhs_vertex(
     return check_convex_combination(bt, others, pivot_cap) is None
 
 
-def _aggregated_row(inst: IPInstance) -> tuple[tuple[int, ...], int]:
-    f = aggregation_vector(inst.b)
-    a = tuple(sum(f[i] * inst.A[i][j] for i in range(inst.m)) for j in range(inst.n))
-    a0 = sum(f[i] * inst.b[i] for i in range(inst.m))
+def _aggregated_row(
+    A: Sequence[Sequence[int]], b: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """f . A column by column and f . b, for the running-product weights f of b."""
+    f = aggregation_vector(b)
+    a = tuple(sum(fi * aij for fi, aij in zip(f, column)) for column in zip(*A))
+    a0 = sum(fi * bi for fi, bi in zip(f, b))
     return a, a0
 
 
@@ -434,7 +437,7 @@ def _vertex_preservation(
 ) -> CheckOutcome:
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
-    a, a0 = _aggregated_row(inst)
+    a, a0 = _aggregated_row(inst.A, inst.b)
     agg = enumerate_feasible((a,), (a0,), cap)
     for v in report.vertices:
         others = [q for q in agg.points if q != v]
@@ -467,7 +470,7 @@ def check_rhs_lower_bound(
 def _rhs_lower_bound(inst: IPInstance, report: VertexReport) -> CheckOutcome:
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
-    _, a0 = _aggregated_row(inst)
+    _, a0 = _aggregated_row(inst.A, inst.b)
     for v in report.vertices:
         bound = vertex_lower_bound(v)
         if a0 < bound:

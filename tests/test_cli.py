@@ -6,14 +6,17 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import knapagg
+import knapagg.cli
 import knapagg.oracle
 from knapagg import (
     IPInstance,
+    SolverBudget,
     brute_force_optimum,
     canonicalize_minimize,
     check_rhs_lower_bound,
@@ -23,7 +26,8 @@ from knapagg import (
     serialize_instance,
     solve_original,
 )
-from knapagg.cli import main
+from knapagg.cli import _render, main
+from knapagg.oracle import DEFAULT_POINT_CAP
 
 DEMO = {
     "A": [["1", "1", "0"], ["0", "1", "1"]],
@@ -277,9 +281,11 @@ def test_small_solve_does_not_import_numpy(tmp_path):
     assert result["x"] == ["0", "40", "20"]
 
 
-# sha256 of the stdout of `oracle` and `verify`, recorded when the exact LP
-# still pivoted over Fraction and verify enumerated the original set three
-# times; reruns of one build cannot show a drift between builds, these can
+# sha256 of the stdout of pinned runs, each recorded with an earlier build:
+# `oracle` and `verify` when the exact LP still pivoted over Fraction and
+# verify enumerated the original set three times, the others when the report
+# was still written by json.dumps; reruns of one build cannot show a drift
+# between builds, these can
 PINNED = {
     "demo": DEMO,
     # a non-vertex whose witness weights are thirds, found by the LP
@@ -295,6 +301,20 @@ PINNED = {
         "c": ["1", "1"],
         "sense": "min",
     },
+    "maximize": dict(DEMO, c=["-1", "-1", "-1"], sense="max"),
+    # infeasible: the surrogate's minimizer lifts to a point with a residual
+    "residual": {"A": [["1", "0"], ["0", "2"]], "b": ["1", "1"], "c": ["0", "0"]},
+    "unbounded": {"A": [["1", "0"]], "b": ["1"], "c": ["0", "-1"]},
+    "budget": DEMO,
+    "zero-column": {
+        "A": [["1", "1", "0", "0"], ["0", "1", "1", "0"]],
+        "b": ["1", "1"],
+        "c": ["1", "1", "1", "2"],
+        "sense": "min",
+    },
+    # column 1 is free, so a point with x_1 > 0 is the midpoint of x -+ e_1
+    "free-column": {"A": [["1", "0"]], "b": ["2"], "c": ["0", "0"]},
+    "malformed": "definitely not json",
 }
 PINNED_SHA256 = {
     ("demo", "oracle"): "12501c81f5d03e9f5d1fd29f32e369a40d67a3704dcfd2d5e83388d66f9780d3",
@@ -303,15 +323,51 @@ PINNED_SHA256 = {
     ("thirds", "verify"): "121c767ced5222a2ea85e5a5b1a8b3c98104a4fafb84cfdf4fa9d100da3fad65",
     ("infeasible", "oracle"): "58222bd046304cf2ccb5301605f9d349b4f882ddae413fd6fbd240d232d10b86",
     ("infeasible", "verify"): "895be99eaee4641e470bd93f8ebf9c94031c2de308c753666cb185f3b2492013",
+    ("demo", "solve"): "6c7e6bd92a1ad4448a9200b68e9dce88a377d896dfe46ccab977a460663af2ca",
+    ("maximize", "solve"): "a38979e67cc62637d2311ad00d0f34afff99a251d66cfe223fdb76119a0528be",
+    ("residual", "solve"): "2d64988b69aa4d6df4004d334b86770c7ef72c3b575bee98cdb096d5ce7bcc29",
+    ("unbounded", "solve"): "c2d053b38386709bfdd7af10c36a7fc83d8e595f92eceec74b53988e8010b5b5",
+    ("budget", "solve"): "64fa52bc32f2ea815f270c1bb2922fa6f08aeb2aa8776dff18f0dd1bf3fb1fff",
+    ("zero-column", "aggregate"): "079b6c76aed485b4e896575a005607bb10fb5e1a845a25ec70b65c925b52ed53",
+    ("demo", "bound"): "948301cc23503666812e4a302bafd8bb5ecb3ac3ae2ac0ed7fd60a8a3fcc8147",
+    ("thirds", "bound"): "bc8c10bad89045bb22599d9a201f805e428b91512a63e6eb081c957455c06fa4",
+    ("free-column", "bound"): "fe5618ac17df7c41af5d64758e63e747edac250eb70222db7af03334463fb319",
+    ("malformed", "solve"): "dce51c43fe2ff256325d772710f056b8259ccd67b62c1bd3fe619495e1b7a4f9",
 }
+# extra arguments and exit code of the pinned runs that are not a plain
+# success
+PINNED_CALL = {
+    ("residual", "solve"): ([], 1),
+    ("unbounded", "solve"): ([], 2),
+    ("budget", "solve"): (["--budget-cells", "1"], 3),
+    ("demo", "bound"): (["--vertex", "1,0,1"], 0),
+    ("thirds", "bound"): (["--vertex", "1,1,2,5"], 4),
+    ("free-column", "bound"): (["--vertex", "2,1"], 4),
+    ("malformed", "solve"): ([], 4),
+}
+
+
+def _pinned_run(tmp_path, case, cmd):
+    doc = PINNED[case]
+    if isinstance(doc, str):
+        path = tmp_path / "inst.json"
+        path.write_text(doc)
+        path = str(path)
+    else:
+        path = _write(tmp_path, doc)
+    extra, code = PINNED_CALL.get((case, cmd), ([], 0))
+    return [cmd, path, *extra], code
 
 
 @pytest.mark.parametrize("case,cmd", sorted(PINNED_SHA256))
 def test_report_bytes_are_pinned(tmp_path, capsys, case, cmd):
-    assert main([cmd, _write(tmp_path, PINNED[case])]) == 0
+    argv, code = _pinned_run(tmp_path, case, cmd)
+    assert main(argv) == code
     out = capsys.readouterr().out
-    if (case, cmd) == ("thirds", "oracle"):
+    if case == "thirds" and cmd in ("oracle", "bound"):
         assert '"weight": "1/3"' in out
+    if case == "free-column":
+        assert '"weight": "1/2"' in out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[case, cmd]
 
 
@@ -415,3 +471,119 @@ def test_python_m_knapagg_matches_main(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     assert main(["solve", path]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_main_reuses_one_parser_and_leaks_no_state(tmp_path, capsys, monkeypatch):
+    built = []
+    real = knapagg.cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(knapagg.cli, "build_parser", counted)
+    knapagg.cli._parser.cache_clear()
+    path = _write(tmp_path, DEMO)
+    default = SolverBudget()
+    # each call follows one that set other options, or failed to parse
+    calls = [
+        (["bound", path], None),
+        (["oracle", path, "--cap", "7"], {"cap": "7", "pivot_cap": "100000"}),
+        (["verify", path], {"cap": str(DEFAULT_POINT_CAP)}),
+        (["solve", path, "--budget-cells", "1"],
+         {"budget_cells": "1", "budget_rhs": str(default.max_rhs)}),
+        (["solve", path],
+         {"budget_cells": str(default.max_cells), "budget_rhs": str(default.max_rhs)}),
+    ]
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "knapagg", *argv],
+            env=_src_env(), capture_output=True, text=True, timeout=60,
+        )
+        for argv, _ in calls
+    ]
+    for _ in range(4):
+        for (argv, settings), proc in zip(calls, fresh):
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert (code, out) == (proc.returncode, proc.stdout), argv
+            if settings is None:
+                assert code == 4 and out == ""
+            else:
+                assert json.loads(out)["settings"] == settings
+    assert len(built) == 1
+
+
+def _reference_jsonable(value):
+    # the report writer before _render, kept as the reference it must match
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonable(v) for k, v in value.items()}
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _reference_render(value):
+    return json.dumps(_reference_jsonable(value), indent=2, sort_keys=True)
+
+
+_TEXT = (
+    "", "x", "key", "é", "漢字", "😀", "\x00", "\x1f", "\x7f", "\t\n\r", '"', "\\",
+    "\u2028", "\ud800", "\udfff", "1", "-2",
+)
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(4)))
+    if kind == 1:
+        return rng.choice((None, True, False, 0, 1, -1))
+    if kind == 2:
+        return rng.randint(-10**9, 10**9)
+    if kind == 3:
+        return rng.choice((-1, 1)) * rng.randrange(10**999, 10**1000)
+    if kind == 4:
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+    if kind == 5:
+        return rng.choice(_TEXT)
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    keys = [
+        rng.choice(_TEXT) if rng.random() < 0.5 else rng.randint(-3, 12)
+        for _ in items
+    ]
+    return dict(zip(keys, items))
+
+
+def test_render_matches_the_json_dumps_writer():
+    rng = random.Random(20261018)
+    for _ in range(2500):
+        value = _random_value(rng, 0)
+        assert _render(value, "\n") == _reference_render(value)
+    report = {"a": [1, {"b": ()}], 2: Fraction(-1, 3), "c": {}, "d": [True, 1]}
+    assert _render(report, "\n") == _reference_render(report)
+
+
+def test_render_refuses_a_float_anywhere():
+    rng = random.Random(7)
+    for _ in range(200):
+        value = 0.5
+        for _ in range(rng.randrange(4)):
+            sibling = _random_value(rng, 2)
+            value = rng.choice((
+                [sibling, value], (value, sibling), {"k": value, "s": sibling},
+            ))
+        with pytest.raises(TypeError):
+            _reference_render(value)
+        with pytest.raises(TypeError):
+            _render(value, "\n")
