@@ -52,10 +52,10 @@ from .oracle import (
     PointSet,
     _aggregated_row,
     _brute_force,
+    _convex_weights,
     _original_hull,
     _rhs_lower_bound,
     _vertex_preservation,
-    check_convex_combination,
     check_rhs_vertex,
     enumerate_feasible,
     vertex_set,
@@ -294,7 +294,7 @@ def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     sub_point = tuple(point[j] for j in kept)
     pts = enumerate_feasible(sub_A, inst.b, args.cap)
     others = [q for q in pts.points if q != sub_point]
-    lam = check_convex_combination(sub_point, others)
+    lam = _convex_weights(sub_point, others, DEFAULT_PIVOT_CAP)
     if lam is not None:
         base["is_vertex"] = False
         base["witness"] = {
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="dump feasible sets, vertices, witnesses")
     p.add_argument("instance")
     p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP)
-    p.add_argument("--pivot-cap", type=int, default=100_000)
+    p.add_argument("--pivot-cap", type=int, default=DEFAULT_PIVOT_CAP)
 
     return parser
 

@@ -5,7 +5,10 @@ hard point cap, convex-hull membership by a phase-1 simplex with Bland's
 rule that pivots fraction-free on an integer adjugate and determinant and
 returns its weights as exact fractions.Fraction values, vertex extraction
 with rational witnesses, brute force optima, and executable forms of the
-guarantees the aggregation is supposed to deliver.  These routines are
+guarantees the aggregation is supposed to deliver.  Every vertex test
+first looks for a signed lexicographic order under which the point comes
+strictly first, which proves it a vertex by integer comparisons alone;
+only a point without such an order goes to the LP.  These routines are
 deliberately independent of the dynamic-programming solver so the two can
 check each other.
 """
@@ -288,18 +291,71 @@ def check_convex_combination(
     raise IterationLimit(f"no decision after {pivot_cap} pivots")
 
 
+def _lex_extreme(
+    p: Point, others: Sequence[Point]
+) -> tuple[tuple[int, int], ...] | None:
+    """A signed coordinate order under which p beats every other point, or None.
+
+    Greedy over integer comparisons: pick an unused coordinate t on which p
+    is at least the maximum (sign +1) or at most the minimum (sign -1) of
+    the points still tied with p, keep only those with q[t] == p[t], and
+    stop when none are left.  A pick only shrinks the tied set, so any
+    coordinate that qualifies once keeps qualifying and the greedy succeeds
+    exactly when some signed order exists.  The order ((t_1, s_1), ...,
+    (t_K, s_K)) is a vertex certificate: with M one more than the largest
+    coordinate gap, d[t_k] = s_k * M**(K - k) (zero elsewhere) gives
+    d . p > d . q for every q in others, so p is the unique maximizer of an
+    integer linear functional over the set.  None means no such order;
+    p may still be a vertex.
+    """
+    rest = others
+    free = list(range(len(p)))
+    order: list[tuple[int, int]] = []
+    while rest:
+        for t in free:
+            pt = p[t]
+            vals = [q[t] for q in rest]
+            if pt >= max(vals):
+                sign = 1
+            elif pt <= min(vals):
+                sign = -1
+            else:
+                continue
+            break
+        else:
+            return None
+        free.remove(t)
+        order.append((t, sign))
+        rest = [q for q in rest if q[t] == pt]
+    return tuple(order)
+
+
+def _convex_weights(
+    p: Point, others: Sequence[Point], pivot_cap: int
+) -> tuple[Fraction, ...] | None:
+    """check_convex_combination, skipped when a signed order proves p a vertex."""
+    if _lex_extreme(p, others) is not None:
+        return None
+    return check_convex_combination(p, others, pivot_cap)
+
+
 def vertex_set(
     points: PointSet, pivot_cap: int = DEFAULT_PIVOT_CAP
 ) -> VertexReport:
     """Vertices of the convex hull of a finite point set, with certificates.
 
-    Two passes.  First, any point that is the exact midpoint of two others
+    Three passes.  First, any point that is the exact midpoint of two others
     in the set is discarded with the obvious half-half witness; a true
-    vertex can never be such a midpoint.  Second, each survivor is tested
-    against the current candidate pool with the exact LP.  Dropping proven
-    non-vertices from the pool is safe because the pool always contains
-    every vertex, and membership in the hull of the full set equals
-    membership in the hull of its vertices.
+    vertex can never be such a midpoint.  Second, each survivor that comes
+    strictly first among the current candidate pool under some signed
+    lexicographic order is a vertex, proven by integer comparisons alone.
+    Third, every other survivor is tested against the pool with the exact
+    LP, which either gives its convex weights or proves it a vertex.
+    Dropping proven non-vertices from the pool is safe because the pool
+    always contains every vertex, and membership in the hull of the full
+    set equals membership in the hull of its vertices.  A vertex proven by
+    its order uses no pivots, so IterationLimit is raised only when an LP
+    actually runs past pivot_cap.
     """
     pts = points.points
     index = {p: i for i, p in enumerate(pts)}
@@ -326,7 +382,7 @@ def vertex_set(
     vertices: list[Point] = []
     for p in survivors:
         others = [q for q in pool if q != p]
-        lam = check_convex_combination(p, others, pivot_cap)
+        lam = _convex_weights(p, others, pivot_cap)
         if lam is None:
             vertices.append(p)
         else:
@@ -380,7 +436,8 @@ def check_rhs_vertex(
     are f = (1, 1) and both (0, 1) and (1, 0) have coordinate sum 1.  The
     vertex property itself survives: b is the lexicographically largest
     point of the set when coordinates are compared from the last one down,
-    hence always an extreme point.
+    hence always an extreme point, and the signed-order test proves it so
+    without the LP.
     """
     bt = tuple(int(v) for v in b)
     f = aggregation_vector(bt)
@@ -393,7 +450,7 @@ def check_rhs_vertex(
     if all(v > 0 for v in bt) and minimizers != [bt]:
         return False
     others = [p for p in pts.points if p != bt]
-    return check_convex_combination(bt, others, pivot_cap) is None
+    return _convex_weights(bt, others, pivot_cap) is None
 
 
 def _aggregated_row(
@@ -441,7 +498,7 @@ def _vertex_preservation(
     agg = enumerate_feasible((a,), (a0,), cap)
     for v in report.vertices:
         others = [q for q in agg.points if q != v]
-        lam = check_convex_combination(v, others, pivot_cap)
+        lam = _convex_weights(v, others, pivot_cap)
         if lam is not None:
             cited = tuple(
                 (others[t], lam[t]) for t in range(len(others)) if lam[t]

@@ -16,6 +16,7 @@ import knapagg.cli
 import knapagg.oracle
 from knapagg import (
     IPInstance,
+    PointSet,
     SolverBudget,
     brute_force_optimum,
     canonicalize_minimize,
@@ -406,9 +407,9 @@ def _as_report(value):
     return {k: _as_report(v) for k, v in value.items()}
 
 
-def test_verify_checks_equal_the_public_checks(tmp_path, capsys):
+def _two_row_instances(tmp_path):
+    # 50 seeded 2-row instances: min and max, zero-rhs rows, free columns
     rng = random.Random(4242)
-    feasible = 0
     for k in range(50):
         n = rng.randint(2, 4)
         A = [[rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
@@ -420,6 +421,12 @@ def test_verify_checks_equal_the_public_checks(tmp_path, capsys):
         inst = IPInstance.from_rows(A, b, c, rng.choice(("min", "max")))
         path = tmp_path / f"inst{k}.json"
         path.write_text(serialize_instance(inst))
+        yield inst, path
+
+
+def test_verify_checks_equal_the_public_checks(tmp_path, capsys):
+    feasible = 0
+    for inst, path in _two_row_instances(tmp_path):
         code, rep = _run(capsys, ["verify", str(path)])
         assert code == 0, rep
 
@@ -450,6 +457,71 @@ def test_verify_checks_equal_the_public_checks(tmp_path, capsys):
         assert rep["result"]["falsifications"] == []
         feasible += oracle.status == "optimal"
     assert 10 < feasible < 50
+
+
+def _never_lex_extreme(p, others):
+    return None
+
+
+def test_lex_certificate_leaves_vertex_reports_unchanged(monkeypatch):
+    rng = random.Random(7311)
+    sets = []
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        hi = rng.choice((2, 4, 8))
+        pts = {tuple(rng.randint(0, hi) for _ in range(d)) for _ in range(rng.randint(1, 14))}
+        sets.append(PointSet(d, tuple(sorted(pts))))
+    fast = [knapagg.oracle.vertex_set(pts) for pts in sets]
+    monkeypatch.setattr(knapagg.oracle, "_lex_extreme", _never_lex_extreme)
+    slow = [knapagg.oracle.vertex_set(pts) for pts in sets]
+    assert fast == slow
+    assert sum(len(r.witnesses) for r in fast) > 100
+
+
+def test_lex_certificate_leaves_reports_unchanged(tmp_path, capsys, monkeypatch):
+    lp_calls = _count_calls(monkeypatch, "check_convex_combination")
+
+    def reports():
+        out = []
+        for _, path in _two_row_instances(tmp_path):
+            for argv in (["verify", str(path)], ["oracle", str(path)]):
+                out.append((main(argv), capsys.readouterr().out))
+            code, text = out[-1]
+            if code != 0:
+                continue
+            rep = json.loads(text)
+            kept = [int(j) for j in rep["result"]["columns_kept"]]
+            n = len(json.loads(path.read_text())["c"])
+            for sub in rep["result"]["original"]["points"]:
+                point = ["0"] * n
+                for j, v in zip(kept, sub):
+                    point[j] = v
+                argv = ["bound", str(path), "--vertex", ",".join(point)]
+                out.append((main(argv), capsys.readouterr().out))
+        return out
+
+    fast = reports()
+    fast_calls = len(lp_calls)
+    monkeypatch.setattr(knapagg.oracle, "_lex_extreme", _never_lex_extreme)
+    slow = reports()
+    slow_calls = len(lp_calls) - fast_calls
+    assert fast == slow
+    assert sum(text.count('"is_vertex": false') for _, text in fast) > 0
+    assert fast_calls * 10 < slow_calls
+
+
+def test_oracle_pivot_cap_one_passes_when_every_vertex_is_lex_extreme(
+    tmp_path, capsys, monkeypatch
+):
+    # every vertex of the demo, original and aggregated, comes first under
+    # a signed order, so no LP runs and a cap of one pivot is never reached
+    path = _write(tmp_path, DEMO)
+    code, rep = _run(capsys, ["oracle", path, "--pivot-cap", "1"])
+    assert code == 0 and rep["settings"]["pivot_cap"] == "1"
+    assert rep["result"] == _run(capsys, ["oracle", path])[1]["result"]
+    monkeypatch.setattr(knapagg.oracle, "_lex_extreme", _never_lex_extreme)
+    code, rep = _run(capsys, ["oracle", path, "--pivot-cap", "1"])
+    assert code == 3 and rep["status"] == "cap_exceeded"
 
 
 def test_python_m_knapagg_cli_runs_main(tmp_path):

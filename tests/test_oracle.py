@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
+import knapagg.oracle
 from knapagg import (
     CapExceeded,
     DimensionMismatch,
@@ -23,6 +24,7 @@ from knapagg import (
     preprocess_zero_columns,
     vertex_set,
 )
+from knapagg.oracle import DEFAULT_PIVOT_CAP, _convex_weights, _lex_extreme
 
 
 def _brute_points(A, b, limit):
@@ -336,6 +338,8 @@ def test_vertex_set_square_with_center():
     report = vertex_set(pts)
     assert report.vertices == ((0, 0), (0, 2), (2, 0), (2, 2))
     assert (1, 1) in report.witnesses
+    # the corners are lex-extreme and the center a midpoint: no pivots
+    assert vertex_set(pts, pivot_cap=0) == report
 
 
 def test_vertex_set_matches_independent_oracle():
@@ -355,6 +359,107 @@ def test_vertex_set_matches_independent_oracle():
                 for i in range(d):
                     combo[i] += w * pts[idx][i]
             assert total == 1 and tuple(combo) == p
+
+
+def _random_point_set(rng):
+    # shared coordinates (small grids), collinear points, one-point sets and
+    # spread-out points; p is one of the points, others the rest
+    d = rng.randint(1, 6)
+    shape = rng.randrange(4)
+    if shape == 0:
+        pts = {tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(rng.randint(1, 12))}
+    elif shape == 1:
+        base = tuple(rng.randint(-3, 3) for _ in range(d))
+        step = tuple(rng.randint(-2, 2) for _ in range(d))
+        ks = rng.sample(range(-4, 5), rng.randint(1, 6))
+        pts = {tuple(a + k * s for a, s in zip(base, step)) for k in ks}
+    elif shape == 2:
+        pts = {tuple(rng.randint(-5, 5) for _ in range(d))}
+    else:
+        pts = {tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(rng.randint(2, 12))}
+    pts = sorted(pts)
+    p = rng.choice(pts)
+    others = [q for q in pts if q != p]
+    rng.shuffle(others)
+    return p, others
+
+
+def _first_under(order, p, q):
+    # p comes strictly before q in the signed lexicographic order
+    for t, s in order:
+        if p[t] != q[t]:
+            return s * (p[t] - q[t]) > 0
+    return False
+
+
+def test_lex_extreme_is_a_sound_vertex_certificate():
+    rng = random.Random(5150)
+    certified = dims = 0
+    for _ in range(2000):
+        p, others = _random_point_set(rng)
+        d = len(p)
+        dims |= 1 << d
+        order = _lex_extreme(p, others)
+        if d <= 3:
+            # the greedy finds an order exactly when one exists
+            exists = any(
+                all(_first_under(tuple(zip(ts, ss)), p, q) for q in others)
+                for k in range(d + 1)
+                for ts in permutations(range(d), k)
+                for ss in product((1, -1), repeat=k)
+            )
+            assert (order is not None) == exists, (p, others)
+        if order is None:
+            continue
+        certified += 1
+        used = [t for t, _ in order]
+        assert len(set(used)) == len(used)
+        assert all(s in (1, -1) for _, s in order)
+        # the integer direction d[t_k] = s_k * M**(K - k) strictly separates
+        gap = max((abs(a - b) for q in others for a, b in zip(p, q)), default=0)
+        m, k = gap + 1, len(order)
+        direction = [0] * d
+        for i, (t, s) in enumerate(order):
+            direction[t] = s * m ** (k - 1 - i)
+        dp = sum(a * b for a, b in zip(direction, p))
+        for q in others:
+            assert dp > sum(a * b for a, b in zip(direction, q)), (p, q, order)
+        assert _fraction_phase1(p, others, 100_000) is None
+    assert dims == 0b1111110
+    assert 800 < certified < 1900
+
+
+def test_lp_decides_a_vertex_that_is_not_lex_extreme(monkeypatch):
+    others = [(0, 0), (1, 2), (3, 3)]
+    assert _lex_extreme((2, 1), others) is None
+    assert check_convex_combination((2, 1), others) is None
+    calls = []
+    real = knapagg.oracle.check_convex_combination
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(knapagg.oracle, "check_convex_combination", counted)
+    pts = PointSet(2, ((0, 0), (1, 2), (2, 1), (3, 3)))
+    assert vertex_set(pts).vertices == pts.points
+    # (0, 0) and (3, 3) are lex-extreme; (1, 2) and (2, 1) need the LP
+    assert calls == [(1, 2), (2, 1)]
+    with pytest.raises(IterationLimit):
+        vertex_set(pts, pivot_cap=0)
+
+
+def test_lp_gives_the_witness_of_a_non_vertex():
+    # (1, 1) is the midpoint of (0, 0) and (2, 2), so vertex_set's first
+    # pass would take it; the vertex test itself must fall back to the LP
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    assert _lex_extreme((1, 1), square) is None
+    lam = _convex_weights((1, 1), square, DEFAULT_PIVOT_CAP)
+    assert lam is not None
+    assert lam == check_convex_combination((1, 1), square)
+    assert sum(lam) == 1 and all(w >= 0 for w in lam)
+    for i in range(2):
+        assert sum(w * q[i] for w, q in zip(lam, square)) == 1
 
 
 def test_brute_force_optimum_demo():
@@ -405,6 +510,17 @@ def test_rhs_vertex_zero_entry_has_tied_minimizers():
     assert sum((0, 1)) == sum((1, 0)) == 1
     assert check_rhs_vertex((0, 1))
     assert check_rhs_vertex((1, 0))
+
+
+def test_rhs_vertex_needs_no_lp(monkeypatch):
+    # b is the lexicographically largest point from the last coordinate
+    # down, so the signed-order test proves it a vertex on its own
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr(knapagg.oracle, "check_convex_combination", no_lp)
+    for b in product(range(4), repeat=3):
+        assert check_rhs_vertex(b)
 
 
 def test_vertex_preservation_demo():
