@@ -30,15 +30,13 @@ from .instance import (
     BoxBounds,
     Evaluation,
     IPInstance,
-    ReducedInstance,
-    RowRestriction,
+    Reduction,
     box_bounds,
     canonicalize_minimize,
     evaluate,
     instance_digest,
     parse_instance,
-    preprocess_zero_columns,
-    restrict_zero_rows,
+    reduce,
     serialize_instance,
 )
 from .knapsack import (
@@ -85,8 +83,7 @@ __all__ = [
     "OPTIMAL",
     "ParseError",
     "PointSet",
-    "ReducedInstance",
-    "RowRestriction",
+    "Reduction",
     "Solution",
     "SolverBudget",
     "UnboundedProblem",
@@ -110,8 +107,7 @@ __all__ = [
     "objective_upper_bound",
     "parse_instance",
     "penalty_weight",
-    "preprocess_zero_columns",
-    "restrict_zero_rows",
+    "reduce",
     "serialize_instance",
     "solve_knapsack",
     "solve_original",

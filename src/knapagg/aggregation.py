@@ -20,15 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
-from .instance import (
-    BoxBounds,
-    IPInstance,
-    ReducedInstance,
-    SENSE_MIN,
-    box_bounds,
-    preprocess_zero_columns,
-)
+from .errors import UnboundedProblem, ValidationError
+from .instance import BoxBounds, IPInstance, Reduction, SENSE_MIN, box_bounds, reduce
 
 
 def aggregation_vector(b: Sequence[int]) -> tuple[int, ...]:
@@ -49,18 +42,17 @@ def aggregation_vector(b: Sequence[int]) -> tuple[int, ...]:
     return tuple(f)
 
 
-def aggregate(red: ReducedInstance) -> tuple[tuple[int, ...], int]:
-    """Weighted column sums and right-hand side of the single-row surrogate.
+def aggregate(
+    A: Sequence[Sequence[int]], b: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """f . A column by column and f . b, for the running-product weights f of b.
 
-    Takes a reduced instance (no zero columns) so every aggregated
-    coefficient comes out strictly positive.
+    The row and right-hand side of the single-row surrogate.  Every
+    coefficient is positive when A has no zero column.
     """
-    inst = red.inner
-    f = aggregation_vector(inst.b)
-    a = tuple(
-        sum(f[i] * inst.A[i][j] for i in range(inst.m)) for j in range(inst.n)
-    )
-    a0 = sum(f[i] * inst.b[i] for i in range(inst.m))
+    f = aggregation_vector(b)
+    a = tuple(sum(fi * aij for fi, aij in zip(f, column)) for column in zip(*A))
+    a0 = sum(fi * bi for fi, bi in zip(f, b))
     return a, a0
 
 
@@ -81,7 +73,7 @@ def nonneg_cost_shift(c: Sequence[int], A: Sequence[Sequence[int]]) -> int:
     return k
 
 
-def objective_upper_bound(red: ReducedInstance, box: BoxBounds) -> int:
+def objective_upper_bound(red: Reduction, box: BoxBounds) -> int:
     """Upper bound on the optimal value: positive costs times box bounds.
 
     Every feasible point sits inside the box, so sum over j of
@@ -131,8 +123,9 @@ class KnapsackInstance:
 
     weights/rhs describe the aggregated equality, costs the penalized
     objective over the kept columns.  upper_bound, shift and penalty are the
-    L, k, H parameters of the construction; reduced maps kept columns back
-    to the original instance.
+    L, k, H parameters of the construction.  reduced is the reduction of
+    original, the instance given to build_knapsack, so its maps and lift
+    lead from the kept columns back to original's coordinates.
     """
 
     weights: tuple[int, ...]
@@ -141,7 +134,7 @@ class KnapsackInstance:
     upper_bound: int
     shift: int
     penalty: int
-    reduced: ReducedInstance
+    reduced: Reduction
     original: IPInstance
 
     def __post_init__(self) -> None:
@@ -162,22 +155,25 @@ class KnapsackInstance:
 def build_knapsack(inst: IPInstance) -> KnapsackInstance:
     """Run the whole construction on a minimize-canonical instance.
 
-    Preprocesses zero columns (raising UnboundedProblem when one has
-    negative cost), aggregates rows, and penalizes the objective so the
-    surrogate's minimizer decides the original program.
+    Reduces the instance, raises UnboundedProblem when a dropped zero
+    column has negative cost, aggregates the kept rows, and penalizes the
+    objective so the surrogate's minimizer decides the original program.
     """
     if inst.sense != SENSE_MIN:
         raise ValidationError("build_knapsack requires a minimize-canonical instance")
-    red = preprocess_zero_columns(inst)
-    weights, rhs = aggregate(red)
-    box = box_bounds(red.inner)
-    bound = objective_upper_bound(red, box)
-    shift = nonneg_cost_shift(red.inner.c, red.inner.A)
-    penalty = penalty_weight(bound, shift, inst.b)
-    col_sums = tuple(
-        sum(red.inner.A[i][j] for i in range(red.inner.m)) for j in range(red.inner.n)
-    )
-    costs = tuple(cj + penalty * sj for cj, sj in zip(red.inner.c, col_sums))
+    red = reduce(inst)
+    for j in red.zero_columns:
+        if inst.c[j] < 0:
+            raise UnboundedProblem(
+                f"column {j} is identically zero with negative cost {inst.c[j]}"
+            )
+    inner = red.inner
+    weights, rhs = aggregate(inner.A, inner.b)
+    bound = objective_upper_bound(red, box_bounds(inner))
+    shift = nonneg_cost_shift(inner.c, inner.A)
+    penalty = penalty_weight(bound, shift, inner.b)
+    col_sums = tuple(sum(column) for column in zip(*inner.A))
+    costs = tuple(cj + penalty * sj for cj, sj in zip(inner.c, col_sums))
     return KnapsackInstance(
         weights=weights,
         rhs=rhs,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
-from .aggregation import aggregate, aggregation_vector, vertex_lower_bound
+from .aggregation import aggregate, aggregation_vector, build_knapsack, vertex_lower_bound
 from .errors import (
     CapExceeded,
     IterationLimit,
@@ -37,7 +37,7 @@ from .instance import (
     evaluate,
     instance_digest,
     parse_instance,
-    preprocess_zero_columns,
+    reduce,
 )
 from .knapsack import (
     BUDGET_EXCEEDED,
@@ -50,7 +50,6 @@ from .oracle import (
     DEFAULT_PIVOT_CAP,
     DEFAULT_POINT_CAP,
     PointSet,
-    _aggregated_row,
     _brute_force,
     _convex_weights,
     _original_hull,
@@ -148,30 +147,20 @@ def _set_block(pts: PointSet, pivot_cap: int) -> dict:
     }
 
 
-def _split_columns(inst: IPInstance) -> tuple[list[int], list[int]]:
-    kept: list[int] = []
-    dropped: list[int] = []
-    for j, column in enumerate(zip(*inst.A)):
-        (kept if any(v > 0 for v in column) else dropped).append(j)
-    return kept, dropped
-
-
 def _cmd_aggregate(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
-    red = preprocess_zero_columns(canonicalize_minimize(inst))
-    f = aggregation_vector(inst.b)
-    row, rhs = aggregate(red)
+    kp = build_knapsack(canonicalize_minimize(inst))
     product = 1
     for bi in inst.b:
         product *= bi + 1
     result = {
-        "aggregating_vector": list(f),
-        "aggregated_row": list(row),
-        "aggregated_rhs": rhs,
+        "aggregating_vector": list(aggregation_vector(kp.reduced.inner.b)),
+        "aggregated_row": list(kp.weights),
+        "aggregated_rhs": kp.rhs,
         "rhs_plus_one_product": product,
-        "rhs_bit_length": rhs.bit_length(),
-        "columns_kept": list(red.column_map),
+        "rhs_bit_length": kp.rhs.bit_length(),
+        "columns_kept": list(kp.column_map),
         "columns_dropped": [
-            {"index": j, "reason": why} for j, why in red.dropped
+            {"index": j, "reason": why} for j, why in kp.reduced.dropped
         ],
     }
     return result, "ok"
@@ -195,7 +184,7 @@ def _cmd_solve(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
             "objective_upper_bound": kp.upper_bound,
             "cost_shift": kp.shift,
             "penalty": kp.penalty,
-            "columns_kept": list(sol.columns) if sol.columns is not None else None,
+            "columns_kept": list(kp.column_map),
         },
     }
     status = {OPTIMAL: "ok", INFEASIBLE: "infeasible", BUDGET_EXCEEDED: "budget_exceeded"}[
@@ -206,8 +195,11 @@ def _cmd_solve(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
 
 def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     cap = args.cap
-    core = canonicalize_minimize(inst)
-    red = preprocess_zero_columns(core)
+    # the checks run on the surrogate solve solves; building it first also
+    # reports a negative-cost zero column before any enumeration
+    sol = solve_original(canonicalize_minimize(inst))
+    assert sol.knapsack is not None
+    inner = sol.knapsack.reduced.inner
     checks: dict[str, Any] = {}
     falsifications: list[dict] = []
 
@@ -216,8 +208,8 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
         falsifications.append({"check": "rhs_vertex", "rhs": list(inst.b)})
 
     # one enumeration and one hull of the original set serve every check
-    hull = _original_hull(red.inner, cap, DEFAULT_PIVOT_CAP)
-    preserved = _vertex_preservation(red.inner, hull, cap, DEFAULT_PIVOT_CAP)
+    hull = _original_hull(inner, cap, DEFAULT_PIVOT_CAP)
+    preserved = _vertex_preservation(inner, hull, cap, DEFAULT_PIVOT_CAP)
     checks["vertex_preservation"] = {
         "holds": preserved.holds,
         "vacuous": preserved.vacuous,
@@ -227,15 +219,14 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
             {"check": "vertex_preservation", "data": preserved.counterexample}
         )
 
-    lower = _rhs_lower_bound(red.inner, hull)
+    lower = _rhs_lower_bound(inner, hull)
     checks["rhs_lower_bound"] = {"holds": lower.holds, "vacuous": lower.vacuous}
     if not lower.holds:
         falsifications.append(
             {"check": "rhs_lower_bound", "data": lower.counterexample}
         )
 
-    sol = solve_original(core)
-    oracle = _brute_force(red.inner, hull.points)
+    oracle = _brute_force(inner, hull.points)
     agree = (
         sol.status == oracle.status == "optimal" and sol.objective == oracle.value
     ) or (sol.status == oracle.status == "infeasible")
@@ -264,7 +255,8 @@ def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     except ValueError as exc:
         raise UsageError(f"--vertex must be a comma-separated integer list: {exc}")
     ev = evaluate(inst, point)  # raises on bad dimension or negative entries
-    _, a0 = _aggregated_row(inst.A, inst.b)
+    red = reduce(inst)
+    _, a0 = aggregate(red.inner.A, red.inner.b)
     base = {
         "point": list(point),
         "aggregated_rhs": a0,
@@ -274,8 +266,7 @@ def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
         base["is_vertex"] = False
         base["detail"] = "point does not satisfy Ax = b"
         return base, "input_error"
-    kept, dropped = _split_columns(inst)
-    for j in dropped:
+    for j in red.zero_columns:
         if point[j] > 0:
             up = list(point)
             down = list(point)
@@ -290,9 +281,8 @@ def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
             }
             base["detail"] = f"free column {j} is positive; the point is a midpoint"
             return base, "input_error"
-    sub_A = tuple(tuple(row[j] for j in kept) for row in inst.A)
-    sub_point = tuple(point[j] for j in kept)
-    pts = enumerate_feasible(sub_A, inst.b, args.cap)
+    sub_point = tuple(point[j] for j in red.column_map)
+    pts = enumerate_feasible(red.inner.A, red.inner.b, args.cap)
     others = [q for q in pts.points if q != sub_point]
     lam = _convex_weights(sub_point, others, DEFAULT_PIVOT_CAP)
     if lam is not None:
@@ -315,14 +305,14 @@ def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_oracle(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
-    kept, _ = _split_columns(inst)
-    sub_A = tuple(tuple(row[j] for j in kept) for row in inst.A)
-    pts = enumerate_feasible(sub_A, inst.b, args.cap)
-    a, a0 = _aggregated_row(sub_A, inst.b)
+    red = reduce(inst)
+    A, b = red.inner.A, red.inner.b
+    pts = enumerate_feasible(A, b, args.cap)
+    a, a0 = aggregate(A, b)
     agg = enumerate_feasible((a,), (a0,), args.cap)
     result = {
         "coordinates": "kept columns only",
-        "columns_kept": kept,
+        "columns_kept": list(red.column_map),
         "original": _set_block(pts, args.pivot_cap),
         "aggregated": {
             "row": list(a),

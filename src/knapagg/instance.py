@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatch, ParseError, UnboundedProblem, ValidationError
+from .errors import DimensionMismatch, ParseError, ValidationError
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -31,9 +31,9 @@ class IPInstance:
 
     Invariants enforced on construction: at least one row, rectangular A,
     matching lengths for b and c, A and b nonnegative, sense is "min" or
-    "max".  Zero columns are legal here; `preprocess_zero_columns` removes
-    them before aggregation.  n = 0 is allowed so a fully reduced instance
-    can still be represented; the parser rejects empty input separately.
+    "max".  Zero columns are legal here; `reduce` removes them before
+    aggregation.  n = 0 is allowed so a fully reduced instance can still
+    be represented; the parser rejects empty input separately.
     """
 
     A: Matrix
@@ -114,57 +114,45 @@ class BoxBounds:
         return all(u is not None for u in self.upper)
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
-    """An instance with its zero columns removed.
-
-    column_map[j] is the original index of kept column j; dropped records
-    (original index, reason) pairs.  original_n restores full-length points.
-    """
-
-    inner: IPInstance
-    column_map: tuple[int, ...]
-    dropped: tuple[tuple[int, str], ...]
-    original_n: int
-
-    def lift(self, x: Sequence[int]) -> Vector:
-        """Map a point over the kept columns back to original coordinates."""
-        if len(x) != len(self.column_map):
-            raise DimensionMismatch("point length does not match kept column count")
-        out = [0] * self.original_n
-        for j, orig in enumerate(self.column_map):
-            out[orig] = x[j]
-        return tuple(out)
+_PINNED = "pinned to zero by a zero right-hand-side row"
+_ZERO_COLUMN = "zero column, cost >= 0, variable fixed to 0"
 
 
 @dataclass(frozen=True)
-class RowRestriction:
-    """Zero right-hand-side rows removed along with the variables they pin.
+class Reduction:
+    """An instance with its zero right-hand-side rows and zero columns removed.
 
-    row_map[i] is the original index of kept row i, column_map[j] the
-    original index of kept column j, and dropped records (original column
-    index, reason) pairs for the pinned variables.  lift fills the pinned
-    coordinates with zeros.
+    Every index is in original coordinates: row_map[i] is the original
+    index of kept row i, column_map[j] that of kept column j, and dropped
+    lists (original column index, reason) pairs in index order.  The
+    reason of a zero column claims a nonnegative cost, which holds once
+    build_knapsack has refused the negative ones.  lift restores
+    original_n coordinates, with zeros where columns were dropped.
     """
 
     inner: IPInstance
-    column_map: tuple[int, ...]
     row_map: tuple[int, ...]
+    column_map: tuple[int, ...]
     dropped: tuple[tuple[int, str], ...]
     original_n: int
+
+    @property
+    def zero_columns(self) -> tuple[int, ...]:
+        """Original indices of the dropped columns that are zero in every row."""
+        return tuple(j for j, why in self.dropped if why == _ZERO_COLUMN)
 
     def lift(self, x: Sequence[int]) -> Vector:
         """Map a point over the kept columns back to original coordinates."""
         if len(x) != len(self.column_map):
             raise DimensionMismatch("point length does not match kept column count")
         out = [0] * self.original_n
-        for j, orig in enumerate(self.column_map):
-            out[orig] = x[j]
+        for orig, v in zip(self.column_map, x):
+            out[orig] = v
         return tuple(out)
 
 
-def restrict_zero_rows(inst: IPInstance) -> RowRestriction:
-    """Drop rows with a zero right-hand side and the variables they pin.
+def reduce(inst: IPInstance) -> Reduction:
+    """Drop zero right-hand-side rows, the variables they pin, and zero columns.
 
     A row stating that a nonnegative combination of nonnegative variables
     equals zero forces every variable with a positive coefficient in it to
@@ -173,31 +161,34 @@ def restrict_zero_rows(inst: IPInstance) -> RowRestriction:
     then all positive, which matters downstream: positive entries keep the
     aggregating weights strictly increasing, and the strictness is what
     lets the penalized surrogate certify answers about the original rows.
-    Instances with no zero entries come back unchanged, and so does a
-    right-hand side that is zero everywhere (that case needs no surgery:
-    the aggregated equality then admits only the origin), keeping the
-    inner instance at least one row tall.
+    A right-hand side that is zero everywhere is left alone (the aggregated
+    equality then admits only the origin), which keeps the inner instance
+    at least one row tall.  Columns that are zero in every row are dropped
+    too, whatever their cost.  An instance with nothing to drop comes back
+    as the inner instance itself.
     """
-    zero = tuple(i for i in range(inst.m) if inst.b[i] == 0)
-    if not zero or len(zero) == inst.m:
-        return RowRestriction(
-            inst, tuple(range(inst.n)), tuple(range(inst.m)), (), inst.n
+    rows = tuple(i for i, bi in enumerate(inst.b) if bi > 0) or tuple(range(inst.m))
+    gone = [row for i, row in enumerate(inst.A) if i not in rows]
+    kept_A = [inst.A[i] for i in rows]
+    kept: list[int] = []
+    dropped: list[tuple[int, str]] = []
+    for j in range(inst.n):
+        if any(row[j] for row in gone):
+            dropped.append((j, _PINNED))
+        elif any(row[j] for row in kept_A):
+            kept.append(j)
+        else:
+            dropped.append((j, _ZERO_COLUMN))
+    if not dropped and len(rows) == inst.m:
+        inner = inst
+    else:
+        inner = IPInstance(
+            tuple(tuple(row[j] for j in kept) for row in kept_A),
+            tuple(inst.b[i] for i in rows),
+            tuple(inst.c[j] for j in kept),
+            inst.sense,
         )
-    pinned = {
-        j for j in range(inst.n) if any(inst.A[i][j] > 0 for i in zero)
-    }
-    kept_rows = tuple(i for i in range(inst.m) if inst.b[i] > 0)
-    kept_cols = tuple(j for j in range(inst.n) if j not in pinned)
-    dropped = tuple(
-        (j, "pinned to zero by a zero right-hand-side row") for j in sorted(pinned)
-    )
-    inner = IPInstance(
-        tuple(tuple(inst.A[i][j] for j in kept_cols) for i in kept_rows),
-        tuple(inst.b[i] for i in kept_rows),
-        tuple(inst.c[j] for j in kept_cols),
-        inst.sense,
-    )
-    return RowRestriction(inner, kept_cols, kept_rows, dropped, inst.n)
+    return Reduction(inner, rows, tuple(kept), tuple(dropped), inst.n)
 
 
 def _parse_int(raw: object, where: str) -> int:
@@ -267,35 +258,6 @@ def box_bounds(inst: IPInstance) -> BoxBounds:
         else:
             upper.append(None)
     return BoxBounds(tuple(upper))
-
-
-def preprocess_zero_columns(inst: IPInstance) -> ReducedInstance:
-    """Drop columns of A that are all zero.
-
-    Requires a minimize-canonical instance.  A zero column with nonnegative
-    cost is fixed at zero without loss; one with negative cost makes the
-    program unbounded and raises UnboundedProblem.
-    """
-    if inst.sense != SENSE_MIN:
-        raise ValidationError("preprocessing requires a minimize-canonical instance")
-    kept: list[int] = []
-    dropped: list[tuple[int, str]] = []
-    for j in range(inst.n):
-        if any(row[j] > 0 for row in inst.A):
-            kept.append(j)
-        elif inst.c[j] < 0:
-            raise UnboundedProblem(
-                f"column {j} is identically zero with negative cost {inst.c[j]}"
-            )
-        else:
-            dropped.append((j, "zero column, cost >= 0, variable fixed to 0"))
-    inner = IPInstance(
-        tuple(tuple(row[j] for j in kept) for row in inst.A),
-        inst.b,
-        tuple(inst.c[j] for j in kept),
-        SENSE_MIN,
-    )
-    return ReducedInstance(inner, tuple(kept), tuple(dropped), inst.n)
 
 
 def evaluate(inst: IPInstance, x: Sequence[int]) -> Evaluation:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .aggregation import KnapsackInstance, build_knapsack
 from .errors import ValidationError
-from .instance import IPInstance, canonicalize_minimize, evaluate, restrict_zero_rows
+from .instance import IPInstance, canonicalize_minimize, evaluate
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -55,9 +55,9 @@ class KnapsackSolution:
 class Solution:
     """Outcome of the full reduce-and-solve pipeline, in original coordinates.
 
-    columns lists, in original indices, the variables that reached the
-    surrogate after preprocessing; everything dropped on the way is pinned
-    to zero in x.
+    knapsack is the surrogate that was solved; its column_map lists, in
+    original indices, the variables that reached it, and every other
+    coordinate of x is zero.
     """
 
     x: tuple[int, ...] | None
@@ -66,7 +66,6 @@ class Solution:
     residual: tuple[int, ...] | None = None
     detail: str | None = None
     knapsack: KnapsackInstance | None = None
-    columns: tuple[int, ...] | None = None
 
 
 # Sentinel for an unreachable value in the int64 table.  The fill runs on
@@ -251,26 +250,22 @@ def solve_original(
 ) -> Solution:
     """Reduce, solve the surrogate, and certify the answer on the original.
 
-    Pipeline: canonicalize sense, drop zero right-hand-side rows together
-    with the variables they pin (a zero entry would make two aggregating
-    weights coincide, letting the surrogate shuffle mass between rows
-    undetected), drop zero columns (UnboundedProblem surfaces here),
-    aggregate and penalize, run the exact table, lift the minimizer back,
-    and accept it only if it satisfies Ax = b.  With those reductions in
-    place the penalty margin guarantees the surrogate minimizer lands on a
-    feasible point whenever one exists, so a minimizer that misses b
-    certifies the original program infeasible; its residual is reported
-    for diagnosis.
+    Pipeline: canonicalize sense, build the surrogate (build_knapsack drops
+    zero right-hand-side rows with the variables they pin, since a zero
+    entry would make two aggregating weights coincide and let the surrogate
+    shuffle mass between rows undetected, then drops zero columns, raising
+    UnboundedProblem on a negative cost, then aggregates and penalizes),
+    run the exact table, lift the minimizer back, and accept it only if it
+    satisfies Ax = b.  With those reductions in place the penalty margin
+    guarantees the surrogate minimizer lands on a feasible point whenever
+    one exists, so a minimizer that misses b certifies the original program
+    infeasible; its residual is reported for diagnosis.
     """
     core = canonicalize_minimize(inst)
-    rows = restrict_zero_rows(core)
-    kp = build_knapsack(rows.inner)
-    columns = tuple(rows.column_map[j] for j in kp.column_map)
+    kp = build_knapsack(core)
     sol = solve_knapsack(kp, budget)
     if sol.status == BUDGET_EXCEEDED:
-        return Solution(
-            None, None, BUDGET_EXCEEDED, detail=sol.detail, knapsack=kp, columns=columns
-        )
+        return Solution(None, None, BUDGET_EXCEEDED, detail=sol.detail, knapsack=kp)
     if sol.status == INFEASIBLE:
         return Solution(
             None,
@@ -278,10 +273,9 @@ def solve_original(
             INFEASIBLE,
             detail="aggregated knapsack has no solution",
             knapsack=kp,
-            columns=columns,
         )
     assert sol.x is not None
-    lifted = rows.lift(kp.reduced.lift(sol.x))
+    lifted = kp.reduced.lift(sol.x)
     ev = evaluate(core, lifted)
     if not ev.feasible:
         return Solution(
@@ -294,7 +288,6 @@ def solve_original(
                 "so the original program has no feasible point"
             ),
             knapsack=kp,
-            columns=columns,
         )
     objective = sum(inst.c[j] * lifted[j] for j in range(inst.n))
-    return Solution(lifted, objective, OPTIMAL, knapsack=kp, columns=columns)
+    return Solution(lifted, objective, OPTIMAL, knapsack=kp)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .aggregation import aggregation_vector, vertex_lower_bound
+from .aggregation import aggregate, aggregation_vector, vertex_lower_bound
 from .errors import CapExceeded, DimensionMismatch, IterationLimit, ValidationError
 from .instance import IPInstance
 
@@ -453,16 +453,6 @@ def check_rhs_vertex(
     return _convex_weights(bt, others, pivot_cap) is None
 
 
-def _aggregated_row(
-    A: Sequence[Sequence[int]], b: Sequence[int]
-) -> tuple[tuple[int, ...], int]:
-    """f . A column by column and f . b, for the running-product weights f of b."""
-    f = aggregation_vector(b)
-    a = tuple(sum(fi * aij for fi, aij in zip(f, column)) for column in zip(*A))
-    a0 = sum(fi * bi for fi, bi in zip(f, b))
-    return a, a0
-
-
 def _original_hull(
     inst: IPInstance, cap: int, pivot_cap: int
 ) -> VertexReport:
@@ -494,7 +484,7 @@ def _vertex_preservation(
 ) -> CheckOutcome:
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
-    a, a0 = _aggregated_row(inst.A, inst.b)
+    a, a0 = aggregate(inst.A, inst.b)
     agg = enumerate_feasible((a,), (a0,), cap)
     for v in report.vertices:
         others = [q for q in agg.points if q != v]
@@ -527,7 +517,7 @@ def check_rhs_lower_bound(
 def _rhs_lower_bound(inst: IPInstance, report: VertexReport) -> CheckOutcome:
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
-    _, a0 = _aggregated_row(inst.A, inst.b)
+    _, a0 = aggregate(inst.A, inst.b)
     for v in report.vertices:
         bound = vertex_lower_bound(v)
         if a0 < bound:

@@ -25,6 +25,7 @@ from knapagg import (
     IPInstance,
     KnapsackInstance,
     UnboundedProblem,
+    aggregate,
     aggregation_vector,
     box_bounds,
     brute_force_optimum,
@@ -37,7 +38,7 @@ from knapagg import (
     evaluate,
     instance_digest,
     parse_instance,
-    preprocess_zero_columns,
+    reduce,
     solve_knapsack,
     solve_original,
     vertex_set,
@@ -79,13 +80,6 @@ def _geometry(inst: IPInstance) -> IPInstance:
     return IPInstance(A, inst.b, tuple(inst.c[j] for j in kept))
 
 
-def _aggregated_row(inst: IPInstance) -> tuple[tuple[int, ...], int]:
-    f = aggregation_vector(inst.b)
-    a = tuple(sum(f[i] * inst.A[i][j] for i in range(inst.m)) for j in range(inst.n))
-    a0 = sum(fi * bi for fi, bi in zip(f, inst.b))
-    return a, a0
-
-
 def _criterion1(instances: list[IPInstance]) -> dict:
     feasible = 0
     vacuous = 0
@@ -101,7 +95,7 @@ def _criterion1(instances: list[IPInstance]) -> dict:
             vacuous += 1
         else:
             feasible += 1
-            a, a0 = _aggregated_row(sub)
+            a, a0 = aggregate(sub.A, sub.b)
             report = vertex_set(enumerate_feasible((a,), (a0,)))
             vertex_count = len(report.vertices)
             for v in report.vertices:
@@ -153,7 +147,7 @@ def _criterion3(instances: list[IPInstance]) -> dict:
             solver_status = "unbounded"
             solver_value = None
         try:
-            red = preprocess_zero_columns(inst)
+            red = build_knapsack(inst).reduced
         except UnboundedProblem:
             oracle_status = "unbounded"
             oracle_value = None
@@ -202,8 +196,8 @@ def _criterion4(rng: random.Random) -> dict:
         rng.shuffle(perm)
         base = IPInstance.from_rows(A, b, [0] * n)
         shuf = IPInstance.from_rows([A[i] for i in perm], [b[i] for i in perm], [0] * n)
-        a1, a01 = _aggregated_row(base)
-        a2, a02 = _aggregated_row(shuf)
+        a1, a01 = aggregate(base.A, base.b)
+        a2, a02 = aggregate(shuf.A, shuf.b)
         if a01 != a02:
             permutation_invariant = False
         if a1 != a2:
@@ -230,7 +224,7 @@ def _criterion5(tmp_dir) -> dict:
     kp = build_knapsack(inst)
     dp = solve_knapsack(kp)
     sol = solve_original(inst)
-    red = preprocess_zero_columns(inst)
+    red = reduce(inst)
     box = box_bounds(red.inner)
     preserved = check_vertex_preservation(red.inner)
     lower = check_rhs_lower_bound(red.inner)
@@ -278,7 +272,7 @@ def _knapsack_shell(weights, rhs, costs) -> KnapsackInstance:
         upper_bound=0,
         shift=0,
         penalty=0,
-        reduced=preprocess_zero_columns(shell),
+        reduced=reduce(shell),
         original=shell,
     )
 

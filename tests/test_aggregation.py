@@ -15,7 +15,7 @@ from knapagg import (
     nonneg_cost_shift,
     objective_upper_bound,
     penalty_weight,
-    preprocess_zero_columns,
+    reduce,
     vertex_lower_bound,
 )
 
@@ -47,17 +47,21 @@ def test_rhs_telescopes_to_product():
 
 
 def _reduced(A, b, c):
-    return preprocess_zero_columns(IPInstance.from_rows(A, b, c))
+    return reduce(IPInstance.from_rows(A, b, c))
+
+
+def _aggregate(red):
+    return aggregate(red.inner.A, red.inner.b)
 
 
 def test_aggregate_demo():
-    a, a0 = aggregate(_reduced([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1]))
+    a, a0 = _aggregate(_reduced([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1]))
     assert a == (1, 3, 2)
     assert a0 == 3
 
 
 def test_aggregate_keeps_weights_positive():
-    a, a0 = aggregate(_reduced([[1, 0], [0, 2]], [1, 1], [0, 0]))
+    a, a0 = _aggregate(_reduced([[1, 0], [0, 2]], [1, 1], [0, 0]))
     assert a == (1, 4)
     assert a0 == 3
     assert all(w > 0 for w in a)
@@ -77,8 +81,8 @@ def test_aggregated_rhs_is_permutation_invariant():
         rng.shuffle(perm)
         base = _reduced(A, b, [0] * n)
         shuf = _reduced([A[i] for i in perm], [b[i] for i in perm], [0] * n)
-        a1, a01 = aggregate(base)
-        a2, a02 = aggregate(shuf)
+        a1, a01 = _aggregate(base)
+        a2, a02 = _aggregate(shuf)
         assert a01 == a02
         if a1 != a2:
             changed += 1
@@ -138,7 +142,7 @@ def test_objective_upper_bound_dominates_every_feasible_value():
         stack = [()]
         for u in upper:
             stack = [p + (v,) for p in stack for v in range(u + 1)]
-        for x in stack:
+        for x in map(red.lift, stack):
             if all(
                 sum(A[i][j] * x[j] for j in range(n)) == b[i] for i in range(m)
             ):

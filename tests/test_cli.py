@@ -23,7 +23,7 @@ from knapagg import (
     check_rhs_lower_bound,
     check_rhs_vertex,
     check_vertex_preservation,
-    preprocess_zero_columns,
+    reduce,
     serialize_instance,
     solve_original,
 )
@@ -384,6 +384,110 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+# b = (2, 0, 3): the zero row pins columns 1 and 2, leaving 4 x0 = 11
+ZERO_ROW = {
+    "A": [["1", "1", "0"], ["0", "1", "1"], ["1", "0", "1"]],
+    "b": ["2", "0", "3"],
+    "c": ["1", "1", "1"],
+}
+# every column pinned: nothing reaches the surrogate
+ALL_PINNED = {"A": [["1"], ["1"]], "b": ["2", "0"], "c": ["1"]}
+
+
+def _surrogates(capsys, path):
+    """The surrogate as aggregate, solve and oracle report it, side by side."""
+    _, agg = _run(capsys, ["aggregate", path])
+    _, sol = _run(capsys, ["solve", path])
+    _, orc = _run(capsys, ["oracle", path])
+    agg, sur, orc = agg["result"], sol["result"]["surrogate"], orc["result"]
+    return (
+        (agg["aggregated_row"], agg["aggregated_rhs"], agg["columns_kept"]),
+        (sur["weights"], sur["rhs"], sur["columns_kept"]),
+        (orc["aggregated"]["row"], orc["aggregated"]["rhs"], orc["columns_kept"]),
+        orc,
+    )
+
+
+def test_every_subcommand_describes_the_surrogate_solve_solves(tmp_path, capsys):
+    paths = [
+        (_write(tmp_path, ZERO_ROW, "zero-row.json"), [2, 0, 3], 3),
+        (_write(tmp_path, ALL_PINNED, "all-pinned.json"), [2, 0], 1),
+    ]
+    for inst, path in _two_row_instances(tmp_path):
+        if list(inst.b).count(0) == 1:
+            paths.append((str(path), list(inst.b), inst.n))
+    assert len(paths) > 10
+    bounded = 0
+    for path, b, n in paths:
+        agg, sur, orc, oracle = _surrogates(capsys, path)
+        assert agg == sur == orc, path
+        rhs = 1
+        for bi in b:
+            rhs *= bi + 1
+        assert agg[1] == str(rhs - 1)
+        kept = [int(j) for j in agg[2]]
+        for sub in oracle["original"]["points"][:1]:
+            point = ["0"] * n
+            for j, v in zip(kept, sub):
+                point[j] = v
+            _, rep = _run(capsys, ["bound", path, "--vertex", ",".join(point)])
+            assert rep["result"]["aggregated_rhs"] == str(rhs - 1)
+            bounded += 1
+    assert bounded > 5
+    agg, _, _, _ = _surrogates(capsys, paths[0][0])
+    assert agg == (["4"], "11", ["0"])
+    agg, _, _, _ = _surrogates(capsys, paths[1][0])
+    assert agg == ([], "2", [])
+
+
+def test_unbounded_column_is_named_in_original_coordinates(tmp_path, capsys):
+    # the zero row pins column 1; column 2 is zero everywhere with cost -1
+    doc = {"A": [["1", "0", "0"], ["0", "1", "0"]], "b": ["1", "0"], "c": ["0", "0", "-1"]}
+    path = _write(tmp_path, doc)
+    for cmd in ("solve", "verify", "aggregate"):
+        code, rep = _run(capsys, [cmd, path])
+        assert code == 2 and rep["status"] == "unbounded", cmd
+        assert rep["error"] == {
+            "type": "UnboundedProblem",
+            "message": "column 2 is identically zero with negative cost -1",
+        }
+
+
+def test_aggregate_lists_pinned_and_zero_columns(tmp_path, capsys):
+    doc = {"A": [["1", "0", "0", "1"], ["0", "1", "0", "0"]], "b": ["1", "0"],
+           "c": ["0", "0", "0", "1"]}
+    path = _write(tmp_path, doc)
+    code, rep = _run(capsys, ["aggregate", path])
+    assert code == 0
+    r = rep["result"]
+    assert r["aggregating_vector"] == ["1"]
+    assert r["columns_kept"] == ["0", "3"]
+    assert [d["index"] for d in r["columns_dropped"]] == ["1", "2"]
+    assert r["rhs_plus_one_product"] == "2"
+    code, rep = _run(capsys, ["solve", path])
+    assert rep["result"]["x"] == ["1", "0", "0", "0"]
+    assert rep["result"]["surrogate"]["columns_kept"] == ["0", "3"]
+
+
+def test_verify_checks_the_restricted_rows_and_rhs_vertex_the_given_b(
+    tmp_path, capsys, monkeypatch
+):
+    seen = []
+    real = knapagg.oracle.enumerate_feasible
+
+    def recorded(A, b, *args, **kwargs):
+        seen.append((tuple(map(tuple, A)), tuple(b)))
+        return real(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(knapagg.oracle, "enumerate_feasible", recorded)
+    code, rep = _run(capsys, ["verify", _write(tmp_path, ZERO_ROW)])
+    assert code == 0 and rep["result"]["falsifications"] == []
+    # rhs_vertex aggregates b = (2, 0, 3) as given, weights (1, 3, 3);
+    # the original set is that of the restricted rows, b = (2, 3)
+    assert seen == [(((1, 3, 3),), (11,)), (((1,), (1,)), (2, 3))]
+    assert rep["result"]["checks"]["solver_matches_oracle"]["oracle_status"] == "infeasible"
+
+
 @pytest.mark.parametrize("case,hulls,enumerations", [
     ("demo", 1, 3),
     ("infeasible", 0, 2),
@@ -431,7 +535,7 @@ def test_verify_checks_equal_the_public_checks(tmp_path, capsys):
         assert code == 0, rep
 
         core = canonicalize_minimize(inst)
-        inner = preprocess_zero_columns(core).inner
+        inner = reduce(core).inner
         preserved = check_vertex_preservation(inner)
         lower = check_rhs_lower_bound(inner)
         sol = solve_original(core)

@@ -12,12 +12,12 @@ from knapagg import (
     UnboundedProblem,
     ValidationError,
     box_bounds,
+    build_knapsack,
     canonicalize_minimize,
     evaluate,
     instance_digest,
     parse_instance,
-    preprocess_zero_columns,
-    restrict_zero_rows,
+    reduce,
     serialize_instance,
 )
 
@@ -165,7 +165,7 @@ def test_box_bounds_contains_every_feasible_point():
 
 def test_preprocess_drops_zero_columns():
     inst = IPInstance.from_rows([[1, 0], [1, 0]], [1, 1], [1, 5])
-    red = preprocess_zero_columns(inst)
+    red = reduce(inst)
     assert red.column_map == (0,)
     assert red.dropped[0][0] == 1
     assert red.inner.A == ((1,), (1,))
@@ -177,18 +177,18 @@ def test_preprocess_drops_zero_columns():
 def test_preprocess_unbounded_on_negative_free_cost():
     inst = IPInstance.from_rows([[1, 0], [1, 0]], [1, 1], [1, -5])
     with pytest.raises(UnboundedProblem):
-        preprocess_zero_columns(inst)
+        build_knapsack(inst)
 
 
 def test_preprocess_requires_min_sense():
     inst = IPInstance.from_rows([[1]], [1], [1], sense="max")
     with pytest.raises(ValidationError):
-        preprocess_zero_columns(inst)
+        build_knapsack(inst)
 
 
 def test_preprocess_can_drop_everything():
     inst = IPInstance.from_rows([[0, 0]], [0], [1, 2])
-    red = preprocess_zero_columns(inst)
+    red = reduce(inst)
     assert red.inner.n == 0
     assert red.lift(()) == (0, 0)
 
@@ -197,7 +197,7 @@ def test_restrict_zero_rows_pins_supported_variables():
     inst = IPInstance.from_rows(
         [[1, 3, 3, 0], [0, 0, 1, 1]], [0, 2], [-3, -4, 3, 0]
     )
-    res = restrict_zero_rows(inst)
+    res = reduce(inst)
     assert res.row_map == (1,)
     assert res.column_map == (3,)
     assert [j for j, _ in res.dropped] == [0, 1, 2]
@@ -209,7 +209,7 @@ def test_restrict_zero_rows_pins_supported_variables():
 
 def test_restrict_zero_rows_keeps_positive_rhs_untouched():
     inst = IPInstance.from_rows([[1, 1], [0, 2]], [2, 4], [1, 1])
-    res = restrict_zero_rows(inst)
+    res = reduce(inst)
     assert res.inner is inst
     assert res.row_map == (0, 1)
     assert res.column_map == (0, 1)
@@ -220,19 +220,25 @@ def test_restrict_zero_rows_leaves_all_zero_rhs_alone():
     # nothing to separate when every entry is zero; the instance keeps
     # its single row so downstream shapes stay valid
     inst = IPInstance.from_rows([[1, 2], [3, 0]], [0, 0], [1, -1])
-    res = restrict_zero_rows(inst)
+    res = reduce(inst)
     assert res.inner is inst
 
 
-def test_restrict_zero_rows_keeps_free_columns():
-    # column 2 has no support in the zero row, column 3 none anywhere;
-    # both survive, and only column 1 is pinned
-    inst = IPInstance.from_rows([[2, 0, 0], [1, 1, 0]], [0, 3], [5, 1, 1])
-    res = restrict_zero_rows(inst)
-    assert res.column_map == (1, 2)
-    assert res.inner.A == ((1, 0),)
+def test_reduce_pins_then_drops_free_columns():
+    # column 0 is pinned by the zero row, column 1 survives, and column 2,
+    # zero everywhere, is dropped in the same pass whatever its cost
+    inst = IPInstance.from_rows([[2, 0, 0], [1, 1, 0]], [0, 3], [5, 1, -1])
+    res = reduce(inst)
+    assert res.row_map == (1,)
+    assert res.column_map == (1,)
+    assert [j for j, _ in res.dropped] == [0, 2]
+    assert res.zero_columns == (2,)
+    assert res.inner.A == ((1,),)
     assert res.inner.b == (3,)
-    assert res.lift((3, 0)) == (0, 3, 0)
+    assert res.inner.c == (1,)
+    assert res.lift((3,)) == (0, 3, 0)
+    with pytest.raises(DimensionMismatch):
+        res.lift((3, 0))
 
 
 def test_evaluate_residual_and_objective():

@@ -17,7 +17,7 @@ from knapagg import (
     ValidationError,
     build_knapsack,
     evaluate,
-    preprocess_zero_columns,
+    reduce,
     solve_knapsack,
     solve_original,
 )
@@ -33,7 +33,7 @@ def _kp(weights, rhs, costs):
         upper_bound=0,
         shift=0,
         penalty=0,
-        reduced=preprocess_zero_columns(shell),
+        reduced=reduce(shell),
         original=shell,
     )
 
@@ -221,7 +221,7 @@ def test_solve_original_solution_is_always_feasible():
 
 def test_knapsack_instance_validation():
     shell = IPInstance.from_rows([[1]], [1], [1])
-    red = preprocess_zero_columns(shell)
+    red = reduce(shell)
     with pytest.raises(ValidationError):
         KnapsackInstance((0,), 1, (1,), 0, 0, 0, red, shell)
     with pytest.raises(ValidationError):
@@ -266,7 +266,7 @@ def test_solve_original_zero_rhs_row_pins_variables():
     assert sol.status == OPTIMAL
     assert sol.x == (0, 0, 0, 2)
     assert sol.objective == 0
-    assert sol.columns == (3,)
+    assert sol.knapsack.column_map == (3,)
 
 
 def test_solve_original_zero_rhs_row_second_case():
@@ -284,6 +284,31 @@ def test_solve_original_zero_rhs_row_can_prove_infeasibility():
     inst = IPInstance.from_rows([[1, 2], [1, 0]], [0, 3], [1, 1])
     sol = solve_original(inst)
     assert sol.status == INFEASIBLE
+
+
+def test_solve_original_keeps_its_bookkeeping_in_original_coordinates():
+    # column 1 is pinned by the zero row and column 2 is zero everywhere;
+    # every map, the dropped list and the lift speak of the 4 columns given
+    inst = IPInstance.from_rows([[1, 0, 0, 1], [0, 1, 0, 0]], [1, 0], [0, 0, 0, 1])
+    sol = solve_original(inst)
+    kp = sol.knapsack
+    assert sol.status == OPTIMAL and sol.x == (1, 0, 0, 0)
+    assert kp.column_map == (0, 3)
+    assert kp.reduced.row_map == (0,)
+    assert [j for j, _ in kp.reduced.dropped] == [1, 2]
+    assert kp.reduced.zero_columns == (2,)
+    assert kp.original.n == 4 and kp.reduced.original_n == 4
+    assert kp.reduced.lift(solve_knapsack(kp).x) == sol.x
+
+
+def test_solve_original_all_pinned_keeps_the_original_width():
+    inst = IPInstance.from_rows([[1], [1]], [2, 0], [1])
+    sol = solve_original(inst)
+    assert sol.status == INFEASIBLE
+    assert sol.knapsack.original.n == 1
+    assert sol.knapsack.reduced.original_n == 1
+    assert sol.knapsack.column_map == ()
+    assert sol.knapsack.reduced.lift(()) == (0,)
 
 
 def _int64_agrees_with_python(weights, rhs, costs):

@@ -21,7 +21,7 @@ from knapagg import (
     check_rhs_vertex,
     check_vertex_preservation,
     enumerate_feasible,
-    preprocess_zero_columns,
+    reduce,
     vertex_set,
 )
 from knapagg.oracle import DEFAULT_PIVOT_CAP, _convex_weights, _lex_extreme
@@ -463,7 +463,7 @@ def test_lp_gives_the_witness_of_a_non_vertex():
 
 
 def test_brute_force_optimum_demo():
-    red = preprocess_zero_columns(
+    red = reduce(
         IPInstance.from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1])
     )
     res = brute_force_optimum(red.inner)
