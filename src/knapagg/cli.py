@@ -147,20 +147,26 @@ def _set_block(pts: PointSet, pivot_cap: int) -> dict:
     }
 
 
+# build_knapsack has refused a negative cost on every zero column it drops
+_ZERO_COLUMN = "zero column, cost >= 0, variable fixed to 0"
+
+
 def _cmd_aggregate(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     kp = build_knapsack(canonicalize_minimize(inst))
+    red = kp.reduced
     product = 1
     for bi in inst.b:
         product *= bi + 1
     result = {
-        "aggregating_vector": list(aggregation_vector(kp.reduced.inner.b)),
+        "aggregating_vector": list(aggregation_vector(red.inner.b)),
         "aggregated_row": list(kp.weights),
         "aggregated_rhs": kp.rhs,
         "rhs_plus_one_product": product,
         "rhs_bit_length": kp.rhs.bit_length(),
         "columns_kept": list(kp.column_map),
         "columns_dropped": [
-            {"index": j, "reason": why} for j, why in kp.reduced.dropped
+            {"index": j, "reason": _ZERO_COLUMN if j in red.zero_columns else why}
+            for j, why in red.dropped
         ],
     }
     return result, "ok"
@@ -195,11 +201,10 @@ def _cmd_solve(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
 
 def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     cap = args.cap
+    core = canonicalize_minimize(inst)
     # the checks run on the surrogate solve solves; building it first also
     # reports a negative-cost zero column before any enumeration
-    sol = solve_original(canonicalize_minimize(inst))
-    assert sol.knapsack is not None
-    inner = sol.knapsack.reduced.inner
+    inner = build_knapsack(core).reduced.inner
     checks: dict[str, Any] = {}
     falsifications: list[dict] = []
 
@@ -226,6 +231,7 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
             {"check": "rhs_lower_bound", "data": lower.counterexample}
         )
 
+    sol = solve_original(core)
     oracle = _brute_force(inner, hull.points)
     agree = (
         sol.status == oracle.status == "optimal" and sol.objective == oracle.value

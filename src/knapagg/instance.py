@@ -115,7 +115,7 @@ class BoxBounds:
 
 
 _PINNED = "pinned to zero by a zero right-hand-side row"
-_ZERO_COLUMN = "zero column, cost >= 0, variable fixed to 0"
+_ZERO_COLUMN = "zero in every row, variable fixed to 0"
 
 
 @dataclass(frozen=True)
@@ -123,23 +123,19 @@ class Reduction:
     """An instance with its zero right-hand-side rows and zero columns removed.
 
     Every index is in original coordinates: row_map[i] is the original
-    index of kept row i, column_map[j] that of kept column j, and dropped
-    lists (original column index, reason) pairs in index order.  The
-    reason of a zero column claims a nonnegative cost, which holds once
-    build_knapsack has refused the negative ones.  lift restores
-    original_n coordinates, with zeros where columns were dropped.
+    index of kept row i, column_map[j] that of kept column j, dropped
+    lists (original column index, reason) pairs in index order, and
+    zero_columns names the dropped columns that are zero in every row.
+    lift restores original_n coordinates, with zeros where columns were
+    dropped.
     """
 
     inner: IPInstance
     row_map: tuple[int, ...]
     column_map: tuple[int, ...]
     dropped: tuple[tuple[int, str], ...]
+    zero_columns: tuple[int, ...]
     original_n: int
-
-    @property
-    def zero_columns(self) -> tuple[int, ...]:
-        """Original indices of the dropped columns that are zero in every row."""
-        return tuple(j for j, why in self.dropped if why == _ZERO_COLUMN)
 
     def lift(self, x: Sequence[int]) -> Vector:
         """Map a point over the kept columns back to original coordinates."""
@@ -171,6 +167,7 @@ def reduce(inst: IPInstance) -> Reduction:
     gone = [row for i, row in enumerate(inst.A) if i not in rows]
     kept_A = [inst.A[i] for i in rows]
     kept: list[int] = []
+    zero: list[int] = []
     dropped: list[tuple[int, str]] = []
     for j in range(inst.n):
         if any(row[j] for row in gone):
@@ -178,6 +175,7 @@ def reduce(inst: IPInstance) -> Reduction:
         elif any(row[j] for row in kept_A):
             kept.append(j)
         else:
+            zero.append(j)
             dropped.append((j, _ZERO_COLUMN))
     if not dropped and len(rows) == inst.m:
         inner = inst
@@ -188,7 +186,7 @@ def reduce(inst: IPInstance) -> Reduction:
             tuple(inst.c[j] for j in kept),
             inst.sense,
         )
-    return Reduction(inner, rows, tuple(kept), tuple(dropped), inst.n)
+    return Reduction(inner, rows, tuple(kept), tuple(dropped), tuple(zero), inst.n)
 
 
 def _parse_int(raw: object, where: str) -> int:

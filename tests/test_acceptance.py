@@ -147,12 +147,13 @@ def _criterion3(instances: list[IPInstance]) -> dict:
             solver_status = "unbounded"
             solver_value = None
         try:
-            red = build_knapsack(inst).reduced
+            build_knapsack(inst)
         except UnboundedProblem:
             oracle_status = "unbounded"
             oracle_value = None
         else:
-            res = brute_force_optimum(red.inner)
+            # rows as given, so the reference also checks the row restriction
+            res = brute_force_optimum(_geometry(inst))
             oracle_status = res.status
             oracle_value = res.value
         match = solver_status == oracle_status and solver_value == oracle_value
