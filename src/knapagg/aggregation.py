@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import UnboundedProblem, ValidationError
+from .errors import ValidationError
 from .instance import BoxBounds, IPInstance, Reduction, SENSE_MIN, box_bounds, reduce
 
 
@@ -155,18 +155,15 @@ class KnapsackInstance:
 def build_knapsack(inst: IPInstance) -> KnapsackInstance:
     """Run the whole construction on a minimize-canonical instance.
 
-    Reduces the instance, raises UnboundedProblem when a dropped zero
-    column has negative cost, aggregates the kept rows, and penalizes the
+    Reduces the instance, aggregates the kept rows, and penalizes the
     objective so the surrogate's minimizer decides the original program.
+    The costs of dropped zero columns play no part: whether a negative one
+    makes the program unbounded depends on the kept rows being feasible,
+    which only the solver decides.
     """
     if inst.sense != SENSE_MIN:
         raise ValidationError("build_knapsack requires a minimize-canonical instance")
     red = reduce(inst)
-    for j in red.zero_columns:
-        if inst.c[j] < 0:
-            raise UnboundedProblem(
-                f"column {j} is identically zero with negative cost {inst.c[j]}"
-            )
     inner = red.inner
     weights, rhs = aggregate(inner.A, inner.b)
     bound = objective_upper_bound(red, box_bounds(inner))

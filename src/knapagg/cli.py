@@ -147,12 +147,15 @@ def _set_block(pts: PointSet, pivot_cap: int) -> dict:
     }
 
 
-# build_knapsack has refused a negative cost on every zero column it drops
-_ZERO_COLUMN = "zero column, cost >= 0, variable fixed to 0"
+def _zero_column_reason(cost: int) -> str:
+    if cost >= 0:
+        return "zero column, cost >= 0, variable fixed to 0"
+    return f"zero column, negative cost {cost}: unbounded if the kept rows are feasible"
 
 
 def _cmd_aggregate(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
-    kp = build_knapsack(canonicalize_minimize(inst))
+    core = canonicalize_minimize(inst)
+    kp = build_knapsack(core)
     red = kp.reduced
     product = 1
     for bi in inst.b:
@@ -165,7 +168,10 @@ def _cmd_aggregate(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, st
         "rhs_bit_length": kp.rhs.bit_length(),
         "columns_kept": list(kp.column_map),
         "columns_dropped": [
-            {"index": j, "reason": _ZERO_COLUMN if j in red.zero_columns else why}
+            {
+                "index": j,
+                "reason": _zero_column_reason(core.c[j]) if j in red.zero_columns else why,
+            }
             for j, why in red.dropped
         ],
     }
@@ -202,9 +208,8 @@ def _cmd_solve(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     cap = args.cap
     core = canonicalize_minimize(inst)
-    # the checks run on the surrogate solve solves; building it first also
-    # reports a negative-cost zero column before any enumeration
-    inner = build_knapsack(core).reduced.inner
+    # the checks run on the reduced instance, the one solve solves
+    inner = reduce(core).inner
     checks: dict[str, Any] = {}
     falsifications: list[dict] = []
 

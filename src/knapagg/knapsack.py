@@ -6,11 +6,12 @@ exactly, or marks v unreachable.  Unbounded variables are fine because
 weights are strictly positive, so the table is finite.  Budget caps refuse
 tables that would not fit before allocating anything.
 
-Two fills compute the same table.  The reference loop runs value by value
-on Python integers, so costs of any size stay exact.  When numpy imports
-and the table is large enough to repay it, the table is filled column by
-column on int64 arrays instead, but only after an integer proof that no
-value can overflow (max(costs) * (rhs + 1) < 2**62); that path is integer
+Two fills compute the same table, column by column, and mark an
+unreachable value with the same sentinel, max(costs) * (rhs + 1) + 1.  The
+reference loop runs on Python integers, so costs of any size stay exact.
+When numpy imports and the table is large enough to repay it, the table is
+filled on int64 arrays instead, but only after an integer proof that no
+value can overflow (the sentinel is at most 2**62); that path is integer
 arithmetic too.  One reconstruction reads the point back from either table.
 """
 
@@ -19,9 +20,10 @@ from __future__ import annotations
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .aggregation import KnapsackInstance, build_knapsack
-from .errors import ValidationError
+from .errors import UnboundedProblem, ValidationError
 from .instance import IPInstance, canonicalize_minimize, evaluate
 
 OPTIMAL = "optimal"
@@ -68,35 +70,34 @@ class Solution:
     knapsack: KnapsackInstance | None = None
 
 
-# Sentinel for an unreachable value in the int64 table.  The fill runs on
-# int64 only when _fits_int64 proves every reachable value lies below it.
-_INF = 1 << 62
-
 # Table sizes (cells) from which the int64 fill pays off.  Measured on a
 # 2-core x86-64 VM with CPython 3.11 and numpy 2.4: `import numpy` takes
-# about 0.08 s, the Python fill about 90 ns per cell, the int64 fill about
-# 8 ns per cell plus 8 us per column.  A process that has not imported numpy
-# repays the import from about 10**6 cells; once numpy is loaded the int64
-# fill wins from about 100 table values per column, which 2,000 cells
-# covers for up to 20 columns.
+# 0.06-0.08 s, the Python fill 35-50 ns per cell (55-60 ns with 110-bit
+# costs), the int64 fill about 7 ns per cell plus 6 us per column.  A
+# process that has not imported numpy repays the import from about
+# 2 * 10**6 cells; once numpy is loaded the int64 fill wins from about 150
+# table values per column.  The thresholds were set when the Python fill
+# took 90 ns per cell and are kept: below those break-evens the int64 path
+# costs at most one import per process, or a few microseconds per column.
 _NUMPY_COLD_CELLS = 1_000_000
 _NUMPY_WARM_CELLS = 2_000
 
 
-def _fits_int64(costs: tuple[int, ...], rhs: int) -> bool:
-    """No-overflow proof for _fill_int64, in Python integers.
+def _unreachable(costs: tuple[int, ...], rhs: int) -> int:
+    """The sentinel both fills store for a value no combination hits.
 
     A reachable value v costs at most max(costs) * v, since every weight is
-    at least 1; under max(costs) * (rhs + 1) < _INF every reachable value
-    is below _INF, and every intermediate of the fill, a table entry minus
-    at most rhs * max(costs), lies in (-2**62, 2**62].
+    at least 1, so every table entry is at most the sentinel.  This is also
+    the no-overflow proof for _fill_int64: under sentinel <= 2**62 every
+    intermediate of that fill, a table entry minus at most rhs * max(costs),
+    lies in (-2**62, 2**62].
     """
-    return max(costs, default=0) * (rhs + 1) < _INF
+    return max(costs, default=0) * (rhs + 1) + 1
 
 
-def _use_int64_fill(kp: KnapsackInstance, cells: int) -> bool:
+def _use_int64_fill(inf: int, cells: int) -> bool:
     """True when the int64 fill is exact, large enough to pay, and numpy imports."""
-    if not _fits_int64(kp.costs, kp.rhs):
+    if inf > 1 << 62:
         return False
     loaded = sys.modules.get("numpy") is not None
     if cells < (_NUMPY_WARM_CELLS if loaded else _NUMPY_COLD_CELLS):
@@ -109,46 +110,42 @@ def _use_int64_fill(kp: KnapsackInstance, cells: int) -> bool:
 
 
 def _fill_python(
-    weights: tuple[int, ...], costs: tuple[int, ...], rhs: int
-) -> list[int | None]:
-    """Reference fill on Python integers; None marks an unreachable value."""
-    n = len(weights)
-    best: list[int | None] = [None] * (rhs + 1)
+    weights: tuple[int, ...], costs: tuple[int, ...], rhs: int, inf: int
+) -> list[int]:
+    """Column-by-column fill on Python integers; inf marks an unreachable value.
+
+    For v ascending from w, best[v] = min(best[v], best[v - w] + c).  List
+    iterators are live, so best[v - w] already counts this column.  A
+    weight above rhs gives an empty slice and leaves the table as it is.
+    """
+    best = [inf] * (rhs + 1)
     best[0] = 0
-    for v in range(1, rhs + 1):
-        cur: int | None = None
-        for j in range(n):
-            w = weights[j]
-            if w > v:
-                continue
-            prev = best[v - w]
-            if prev is None:
-                continue
-            cand = prev + costs[j]
-            if cur is None or cand < cur:
-                cur = cand
-        best[v] = cur
+    for w, c in zip(weights, costs):
+        for v, prev, cur in zip(count(w), iter(best), islice(best, w, None)):
+            cand = prev + c
+            if cand < cur:
+                best[v] = cand
     return best
 
 
 def _fill_int64(
-    weights: tuple[int, ...], costs: tuple[int, ...], rhs: int
+    weights: tuple[int, ...], costs: tuple[int, ...], rhs: int, inf: int
 ) -> memoryview:
-    """Column-by-column fill on int64 arrays; _INF marks an unreachable value.
+    """Column-by-column fill on int64 arrays; inf marks an unreachable value.
 
-    Exact only under _fits_int64(costs, rhs).  For a column of weight w and
-    cost c, each residue class of values mod w is one running minimum:
+    Exact only when inf <= 2**62.  For a column of weight w and cost c,
+    each residue class of values mod w is one running minimum:
     best[r + k*w] = k*c + min over i <= k of (best[r + i*w] - i*c).  The
     values below (rhs + 1) // w * w form a (rows, w) view, whose columns are
     the residue classes; the remaining values are the first entries of one
     more row and continue the running minimum of the last full row.  An
-    unreachable value stays exactly _INF: if every earlier entry of its
-    class is _INF, the minimum is _INF - k*c, taken at i = k.
+    unreachable value stays exactly inf: if every earlier entry of its
+    class is inf, the minimum is inf - k*c, taken at i = k.
     """
     import numpy as np
 
     size = rhs + 1
-    best = np.full(size, _INF, dtype=np.int64)
+    best = np.full(size, inf, dtype=np.int64)
     best[0] = 0
     for w, c in zip(weights, costs):
         if w > rhs:
@@ -169,7 +166,7 @@ def _fill_int64(
 
 
 def _reconstruct(
-    best: Sequence[int | None],
+    best: Sequence[int],
     weights: tuple[int, ...],
     costs: tuple[int, ...],
     rhs: int,
@@ -177,19 +174,17 @@ def _reconstruct(
     """Walk a filled table back from rhs to 0.
 
     At each value take the smallest column j with best[v - w_j] + c_j ==
-    best[v]: the column the fill's strict minimum keeps, so both fills give
-    the same point.  An unreachable predecessor never matches, whether it
-    is None or _INF, because best[v] is reachable and below _INF.
+    best[v], a rule that reads only the table, so both fills give the same
+    point.  An unreachable predecessor never matches, because it holds the
+    sentinel, which is above best[v].
     """
     x = [0] * len(weights)
     v = rhs
     while v > 0:
         target = best[v]
         for j, w in enumerate(weights):
-            if w <= v:
-                prev = best[v - w]
-                if prev is not None and prev + costs[j] == target:
-                    break
+            if w <= v and best[v - w] + costs[j] == target:
+                break
         x[j] += 1
         v -= w
     return tuple(x)
@@ -229,14 +224,11 @@ def solve_knapsack(
                 f"{budget.max_cells} (aggregated rhs is prod(b_i + 1) - 1)"
             ),
         )
-    if _use_int64_fill(kp, cells):
-        best: Sequence[int | None] = _fill_int64(kp.weights, kp.costs, kp.rhs)
-        unreachable: int | None = _INF
-    else:
-        best = _fill_python(kp.weights, kp.costs, kp.rhs)
-        unreachable = None
+    inf = _unreachable(kp.costs, kp.rhs)
+    fill = _fill_int64 if _use_int64_fill(inf, cells) else _fill_python
+    best = fill(kp.weights, kp.costs, kp.rhs, inf)
     value = best[kp.rhs]
-    if value == unreachable:
+    if value == inf:
         return KnapsackSolution(
             None, None, INFEASIBLE, detail="no nonnegative integer combination hits rhs"
         )
@@ -253,13 +245,11 @@ def solve_original(
     Pipeline: canonicalize sense, build the surrogate (build_knapsack drops
     zero right-hand-side rows with the variables they pin, since a zero
     entry would make two aggregating weights coincide and let the surrogate
-    shuffle mass between rows undetected, then drops zero columns, raising
-    UnboundedProblem on a negative cost, then aggregates and penalizes),
-    run the exact table, lift the minimizer back, and accept it only if it
-    satisfies Ax = b.  With those reductions in place the penalty margin
-    guarantees the surrogate minimizer lands on a feasible point whenever
-    one exists, so a minimizer that misses b certifies the original program
-    infeasible; its residual is reported for diagnosis.
+    shuffle mass between rows undetected, then drops zero columns, then
+    aggregates and penalizes), run the exact table, lift the minimizer back,
+    and accept it only if it satisfies Ax = b.  The penalty margin makes a
+    minimizer that misses b certify the program infeasible, with residual;
+    a feasible program with a negative-cost zero column is unbounded.
     """
     core = canonicalize_minimize(inst)
     kp = build_knapsack(core)
@@ -289,5 +279,10 @@ def solve_original(
             ),
             knapsack=kp,
         )
+    for j in kp.reduced.zero_columns:
+        if core.c[j] < 0:
+            raise UnboundedProblem(
+                f"column {j} is identically zero with negative cost {core.c[j]}"
+            )
     objective = sum(inst.c[j] * lifted[j] for j in range(inst.n))
     return Solution(lifted, objective, OPTIMAL, knapsack=kp)

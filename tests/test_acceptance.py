@@ -146,16 +146,15 @@ def _criterion3(instances: list[IPInstance]) -> dict:
         except UnboundedProblem:
             solver_status = "unbounded"
             solver_value = None
-        try:
-            build_knapsack(inst)
-        except UnboundedProblem:
+        # rows as given, so the reference also checks the row restriction
+        res = brute_force_optimum(_geometry(inst))
+        oracle_status = res.status
+        oracle_value = res.value
+        free = [j for j in range(inst.n) if not any(row[j] for row in inst.A)]
+        if res.status == OPTIMAL and any(inst.c[j] < 0 for j in free):
+            # a feasible program with a negative-cost zero column
             oracle_status = "unbounded"
             oracle_value = None
-        else:
-            # rows as given, so the reference also checks the row restriction
-            res = brute_force_optimum(_geometry(inst))
-            oracle_status = res.status
-            oracle_value = res.value
         match = solver_status == oracle_status and solver_value == oracle_value
         if solver_status == OPTIMAL:
             ev = evaluate(inst, sol.x)

@@ -6,7 +6,6 @@ import pytest
 
 from knapagg import (
     IPInstance,
-    UnboundedProblem,
     ValidationError,
     aggregate,
     aggregation_vector,
@@ -198,9 +197,15 @@ def test_build_knapsack_requires_min_sense():
         build_knapsack(IPInstance.from_rows([[1]], [1], [1], sense="max"))
 
 
-def test_build_knapsack_propagates_unbounded():
-    with pytest.raises(UnboundedProblem):
-        build_knapsack(IPInstance.from_rows([[1, 0]], [1], [0, -1]))
+def test_build_knapsack_leaves_unboundedness_to_the_solver():
+    # a negative-cost zero column makes the program unbounded only if the
+    # kept rows are feasible, which the table decides: 2 x0 = 2 is, 2 x0 = 3
+    # is not, and building passes on both
+    for b in (2, 3):
+        kp = build_knapsack(IPInstance.from_rows([[2, 0]], [b], [0, -1]))
+        assert kp.reduced.zero_columns == (1,)
+        assert kp.column_map == (0,)
+        assert (kp.weights, kp.rhs, kp.costs) == ((2,), b, (2,))
 
 
 def test_build_knapsack_invariants_on_random_instances():
@@ -211,10 +216,7 @@ def test_build_knapsack_invariants_on_random_instances():
         A = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(0, 4) for _ in range(m)]
         c = [rng.randint(-5, 5) for _ in range(n)]
-        try:
-            kp = build_knapsack(IPInstance.from_rows(A, b, c))
-        except UnboundedProblem:
-            continue
+        kp = build_knapsack(IPInstance.from_rows(A, b, c))
         product = 1
         for bi in b:
             product *= bi + 1

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import knapagg
+import knapagg.aggregation
 import knapagg.cli
+import knapagg.knapsack
 import knapagg.oracle
 from knapagg import (
     IPInstance,
@@ -444,13 +446,39 @@ def test_unbounded_column_is_named_in_original_coordinates(tmp_path, capsys):
     # the zero row pins column 1; column 2 is zero everywhere with cost -1
     doc = {"A": [["1", "0", "0"], ["0", "1", "0"]], "b": ["1", "0"], "c": ["0", "0", "-1"]}
     path = _write(tmp_path, doc)
-    for cmd in ("solve", "verify", "aggregate"):
+    for cmd in ("solve", "verify"):
         code, rep = _run(capsys, [cmd, path])
         assert code == 2 and rep["status"] == "unbounded", cmd
         assert rep["error"] == {
             "type": "UnboundedProblem",
             "message": "column 2 is identically zero with negative cost -1",
         }
+    # aggregate solves nothing: it shows the surrogate and names the cost
+    code, rep = _run(capsys, ["aggregate", path])
+    assert code == 0
+    assert rep["result"]["columns_dropped"][1] == {
+        "index": "2",
+        "reason": "zero column, negative cost -1: unbounded if the kept rows are feasible",
+    }
+
+
+def test_infeasible_beats_unbounded(tmp_path, capsys):
+    # 2 x0 = 1 has no solution, so the negative-cost column 1 is moot
+    path = _write(tmp_path, {"A": [["2", "0"]], "b": ["1"], "c": ["0", "-1"]})
+    code, rep = _run(capsys, ["solve", path])
+    assert code == 1 and rep["result"]["status"] == "infeasible"
+    code, rep = _run(capsys, ["verify", path])
+    assert code == 0
+    assert rep["result"]["checks"]["solver_matches_oracle"]["solver_status"] == "infeasible"
+    code, rep = _run(capsys, ["aggregate", path])
+    assert code == 0 and rep["result"]["aggregated_row"] == ["2"]
+    # a feasible one is unbounded, but only once its table is filled and
+    # its points enumerated, so a budget or a cap stops it first
+    path = _write(tmp_path, {"A": [["1", "1", "0"]], "b": ["60"], "c": ["0", "0", "-1"]})
+    assert _run(capsys, ["solve", path])[0] == 2
+    assert _run(capsys, ["solve", path, "--budget-rhs", "10"])[0] == 3
+    assert _run(capsys, ["verify", path])[0] == 2
+    assert _run(capsys, ["verify", path, "--cap", "10"])[0] == 3
 
 
 def test_aggregate_lists_pinned_and_zero_columns(tmp_path, capsys):
@@ -497,10 +525,20 @@ def test_verify_enumerates_and_hulls_the_original_set_once(
 ):
     hulled = _count_calls(monkeypatch, "vertex_set")
     enumerated = _count_calls(monkeypatch, "enumerate_feasible")
+    built = []
+    real_build = knapagg.aggregation.build_knapsack
+
+    def counted_build(inst):
+        built.append(inst)
+        return real_build(inst)
+
+    for module in (knapagg.cli, knapagg.knapsack):
+        monkeypatch.setattr(module, "build_knapsack", counted_build)
     code, rep = _run(capsys, ["verify", _write(tmp_path, PINNED[case])])
     assert code == 0 and rep["status"] == "ok"
     assert len(hulled) == hulls
     assert len(enumerated) == enumerations
+    assert len(built) == 1  # the surrogate is built once, by solve_original
 
 
 def _as_report(value):

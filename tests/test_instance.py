@@ -19,6 +19,7 @@ from knapagg import (
     parse_instance,
     reduce,
     serialize_instance,
+    solve_original,
 )
 
 DEMO = {
@@ -177,7 +178,7 @@ def test_preprocess_drops_zero_columns():
 def test_preprocess_unbounded_on_negative_free_cost():
     inst = IPInstance.from_rows([[1, 0], [1, 0]], [1, 1], [1, -5])
     with pytest.raises(UnboundedProblem):
-        build_knapsack(inst)
+        solve_original(inst)
 
 
 def test_preprocess_requires_min_sense():

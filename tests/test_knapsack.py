@@ -178,6 +178,21 @@ def test_solve_original_unbounded():
         solve_original(IPInstance.from_rows([[1, 0]], [1], [0, -1]))
 
 
+def test_solve_original_infeasible_beats_unbounded():
+    # 2 x0 = 1 has no solution, so the negative-cost zero column is moot
+    sol = solve_original(IPInstance.from_rows([[2, 0]], [1], [0, -1]))
+    assert sol.status == INFEASIBLE and sol.x is None
+    # here the table is feasible, and the lifted minimizer misses b
+    sol = solve_original(IPInstance.from_rows([[1, 0, 0], [0, 2, 0]], [1, 1], [0, 0, -1]))
+    assert sol.status == INFEASIBLE and sol.residual == (2, -1)
+    # a maximized positive cost is a negative one once canonical
+    with pytest.raises(UnboundedProblem, match="column 1 .* negative cost -2"):
+        solve_original(IPInstance.from_rows([[3, 0]], [3], [0, 2], sense="max"))
+    # over budget, feasibility is unknown, so is unboundedness
+    inst = IPInstance.from_rows([[1, 0]], [1000], [0, -1])
+    assert solve_original(inst, SolverBudget(max_rhs=10)).status == BUDGET_EXCEEDED
+
+
 def test_solve_original_budget():
     inst = IPInstance.from_rows([[1]], [1000], [1])
     sol = solve_original(inst, SolverBudget(max_rhs=10))
@@ -314,16 +329,87 @@ def test_solve_original_all_pinned_keeps_the_original_width():
 def _int64_agrees_with_python(weights, rhs, costs):
     """Run both fills directly; return the shared best[rhs] and point."""
     weights, costs = tuple(weights), tuple(costs)
-    ref = knapsack._fill_python(weights, costs, rhs)
-    fast = knapsack._fill_int64(weights, costs, rhs)
-    assert [None if v == knapsack._INF else v for v in fast] == ref
-    if ref[rhs] is None:
+    inf = knapsack._unreachable(costs, rhs)
+    ref = knapsack._fill_python(weights, costs, rhs, inf)
+    fast = knapsack._fill_int64(weights, costs, rhs, inf)
+    assert list(fast) == ref
+    if ref[rhs] == inf:
         return None, None
     x = knapsack._reconstruct(ref, weights, costs, rhs)
     assert knapsack._reconstruct(fast, weights, costs, rhs) == x
     assert sum(w * v for w, v in zip(weights, x)) == rhs
     assert sum(c * v for c, v in zip(costs, x)) == ref[rhs]
     return ref[rhs], x
+
+
+def _reference_fill(weights, costs, rhs):
+    """The value-by-value table, None where a value is unreachable."""
+    best = [None] * (rhs + 1)
+    best[0] = 0
+    for v in range(1, rhs + 1):
+        for w, c in zip(weights, costs):
+            if w <= v and best[v - w] is not None:
+                cand = best[v - w] + c
+                if best[v] is None or cand < best[v]:
+                    best[v] = cand
+    return best
+
+
+def _reference_point(best, weights, costs, rhs):
+    """Back from rhs, the smallest column whose predecessor explains best[v]."""
+    x = [0] * len(weights)
+    v = rhs
+    while v > 0:
+        j = next(
+            j
+            for j, w in enumerate(weights)
+            if w <= v and best[v - w] is not None and best[v - w] + costs[j] == best[v]
+        )
+        x[j] += 1
+        v -= weights[j]
+    return tuple(x)
+
+
+def _surrogates():
+    """Seeded (weights, rhs, costs) with every kind of table edge."""
+    rng = random.Random(8128)
+    yield (1,), 7, (5,)  # best[rhs] is exactly max(costs) * rhs
+    yield (3, 1), 9, (0, 0)  # all-zero costs: every reachable entry is 0
+    yield (5, 3), 7, (1, 1)  # 7 is no sum of 3s and 5s
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rhs = rng.choice((0, 1, rng.randint(2, 50), rng.randint(51, 2000)))
+        # weights may exceed rhs; without a unit weight values go unreachable
+        weights = [rng.randint(1, rng.choice((3, 12, rhs + 5))) for _ in range(n)]
+        bits = rng.choice((0, 1, 40, rng.randint(100, 120)))
+        costs = [rng.randint(0, 2**bits) for _ in range(n)]
+        if rng.random() < 0.2:
+            costs = [rng.choice((0, max(costs))) for _ in costs]
+        yield tuple(weights), rhs, tuple(costs)
+
+
+def test_python_fill_matches_the_value_by_value_reference():
+    try:
+        import numpy
+    except ImportError:
+        numpy = None
+    infeasible = multiple = int64 = 0
+    for weights, rhs, costs in _surrogates():
+        ref = _reference_fill(weights, costs, rhs)
+        inf = knapsack._unreachable(costs, rhs)
+        best = knapsack._fill_python(weights, costs, rhs, inf)
+        assert best == [inf if v is None else v for v in ref]
+        if numpy is not None and inf <= 1 << 62:
+            assert list(knapsack._fill_int64(weights, costs, rhs, inf)) == best
+            int64 += 1
+        if ref[rhs] is None:
+            infeasible += 1
+            continue
+        x = knapsack._reconstruct(best, weights, costs, rhs)
+        assert x == _reference_point(ref, weights, costs, rhs)
+        multiple += max(x) > 1
+    assert infeasible > 30 and multiple > 100
+    assert int64 > 100 or numpy is None
 
 
 def _record_fills(monkeypatch):
@@ -387,7 +473,7 @@ def test_int64_fill_runs_above_the_threshold(monkeypatch):
     ran = _record_fills(monkeypatch)
     sol = solve_knapsack(kp)
     assert ran == ["_fill_int64"]
-    ref = knapsack._fill_python(weights, costs, rhs)
+    ref = knapsack._fill_python(weights, costs, rhs, knapsack._unreachable(costs, rhs))
     assert sol.value == ref[rhs]
     assert sol.x == knapsack._reconstruct(ref, weights, costs, rhs)
 
@@ -397,12 +483,12 @@ def test_int64_fill_runs_above_the_threshold(monkeypatch):
 )
 def test_overflow_proof_boundary(monkeypatch, cost, path):
     pytest.importorskip("numpy")
-    # rhs + 1 = 2**14, so max(costs) * (rhs + 1) is 2**62 - 2**14 or 2**62.
-    # Both columns tie everywhere, so the tie rule fills the first one up
-    # to a value just under 2**62.
+    # rhs + 1 = 2**14, so the sentinel max(costs) * (rhs + 1) + 1 is
+    # 2**62 - 2**14 + 1 or 2**62 + 1.  Both columns tie everywhere, so the
+    # tie rule fills the first one up to a value just under 2**62.
     rhs = 2**14 - 1
     kp = _kp((1, 1), rhs, (cost, cost))
-    assert knapsack._fits_int64(kp.costs, rhs) == (path == "_fill_int64")
+    assert (knapsack._unreachable(kp.costs, rhs) <= 1 << 62) == (path == "_fill_int64")
     ran = _record_fills(monkeypatch)
     sol = solve_knapsack(kp)
     assert ran == [path]
