@@ -12,7 +12,13 @@ reference loop runs on Python integers, so costs of any size stay exact.
 When numpy imports and the table is large enough to repay it, the table is
 filled on int64 arrays instead, but only after an integer proof that no
 value can overflow (the sentinel is at most 2**62); that path is integer
-arithmetic too.  One reconstruction reads the point back from either table.
+arithmetic too.  It fills each column with one of two kernels, picked by
+the weight w.  A narrow column is one running minimum per residue class
+mod w, an accumulate over (rows, w) views of cache-sized blocks.  A wide
+column runs the recurrence itself, one contiguous row of w values at a
+time; each numpy call then costs a few microseconds, which only a long
+row repays, while the accumulate costs the same per value at any width.
+One reconstruction reads the point back from any of these tables.
 """
 
 from __future__ import annotations
@@ -71,16 +77,24 @@ class Solution:
 
 
 # Table sizes (cells) from which the int64 fill pays off.  Measured on a
-# 2-core x86-64 VM with CPython 3.11 and numpy 2.4: `import numpy` takes
-# 0.06-0.08 s, the Python fill 35-50 ns per cell (55-60 ns with 110-bit
-# costs), the int64 fill about 7 ns per cell plus 6 us per column.  A
-# process that has not imported numpy repays the import from about
-# 2 * 10**6 cells; once numpy is loaded the int64 fill wins from about 150
-# table values per column.  The thresholds were set when the Python fill
-# took 90 ns per cell and are kept: below those break-evens the int64 path
-# costs at most one import per process, or a few microseconds per column.
-_NUMPY_COLD_CELLS = 1_000_000
+# 2-vCPU x86-64 VM with CPython 3.11 and numpy 2.4, each time in a fresh
+# process on solve-ladder tables of 1-4 * 10**6 cells: `import numpy` takes
+# 0.14-0.16 s, the Python fill 100-130 ns per cell and the int64 fill 8-10
+# ns per cell, so a process that has not imported numpy repays the import
+# from about 1.3 * 10**6 cells (timed whole: 0.118 s against 0.156 s at
+# 10**6 cells, 0.184 s against 0.162 s at 1.5 * 10**6).  Once numpy is
+# loaded the int64 fill wins from about 150 table values per column; the
+# warm threshold sits above that, where it costs a few microseconds at most.
+_NUMPY_COLD_CELLS = 1_300_000
 _NUMPY_WARM_CELLS = 2_000
+# Weight from which _fill_int64 fills a column row by row.  Measured on the
+# same VM on tables of 3 * 10**5 to 3 * 10**6 values: the accumulate costs
+# 5-10 ns per value at any weight, the row recurrence about 1 ns per value
+# plus 2-4 us per row, so the two break even at weights of about 380-600.
+_ROW_FILL_WEIGHT = 768
+# Values per block of _min_by_residues: 512 KiB of int64, which a block's
+# three passes (ramp, accumulate, ramp) find in cache.
+_BLOCK_VALUES = 1 << 16
 
 
 def _unreachable(costs: tuple[int, ...], rhs: int) -> int:
@@ -88,9 +102,13 @@ def _unreachable(costs: tuple[int, ...], rhs: int) -> int:
 
     A reachable value v costs at most max(costs) * v, since every weight is
     at least 1, so every table entry is at most the sentinel.  This is also
-    the no-overflow proof for _fill_int64: under sentinel <= 2**62 every
-    intermediate of that fill, a table entry minus at most rhs * max(costs),
-    lies in (-2**62, 2**62].
+    the no-overflow proof for _fill_int64 under sentinel <= 2**62.  Every
+    table entry lies in [0, 2**62].  The residue-class kernel subtracts at
+    most rhs * max(costs) < sentinel from an entry, which stays above
+    -2**62.  Both kernels add one cost to an entry, best[v - w] + c <=
+    sentinel + max(costs) <= 2**62 + (2**62 - 1) // (rhs + 1) < 2**63.  An
+    unreachable entry stays exactly the sentinel, since sentinel + c is
+    never below it.
     """
     return max(costs, default=0) * (rhs + 1) + 1
 
@@ -133,36 +151,81 @@ def _fill_int64(
 ) -> memoryview:
     """Column-by-column fill on int64 arrays; inf marks an unreachable value.
 
-    Exact only when inf <= 2**62.  For a column of weight w and cost c,
-    each residue class of values mod w is one running minimum:
-    best[r + k*w] = k*c + min over i <= k of (best[r + i*w] - i*c).  The
-    values below (rhs + 1) // w * w form a (rows, w) view, whose columns are
-    the residue classes; the remaining values are the first entries of one
-    more row and continue the running minimum of the last full row.  An
-    unreachable value stays exactly inf: if every earlier entry of its
-    class is inf, the minimum is inf - k*c, taken at i = k.
+    Exact only when inf <= 2**62 (see _unreachable).  Each column finishes
+    the same recurrence as _fill_python, best[v] = min(best[v], best[v - w]
+    + c) for v ascending, so the table is the same entry for entry.  A
+    column of weight w >= _ROW_FILL_WEIGHT runs the recurrence a row of w
+    values at a time; a narrower one takes a running minimum per residue
+    class, one accumulate for every class of a block at once.  numpy's
+    accumulate costs about the same per value whatever w is, while a row
+    costs a fixed few microseconds plus its w values, so rows win once w is
+    large.
     """
     import numpy as np
 
-    size = rhs + 1
-    best = np.full(size, inf, dtype=np.int64)
+    best = np.full(rhs + 1, inf, dtype=np.int64)
     best[0] = 0
     for w, c in zip(weights, costs):
         if w > rhs:
             continue
-        rows, tail = divmod(size, w)
-        table = best[: rows * w].reshape(rows, w)
-        ramp = np.arange(rows, dtype=np.int64)
-        ramp *= c
-        table -= ramp[:, None]
-        np.minimum.accumulate(table, axis=0, out=table)
-        if tail:
-            rest = best[rows * w :]
-            rest -= rows * c
-            np.minimum(rest, table[-1, :tail], out=rest)
-            rest += rows * c
-        table += ramp[:, None]
+        if w >= _ROW_FILL_WEIGHT:
+            _min_by_rows(best, w, c)
+        else:
+            _min_by_residues(best, w, c)
     return memoryview(best)
+
+
+def _min_by_rows(best, w: int, c: int) -> None:
+    """best[v] = min(best[v], best[v - w] + c), one row of w values at a time.
+
+    Rows start at w, 2w, ...; the last may be partial.  A row reads only the
+    row before it, which is already final for this column, so each row is
+    one contiguous add into a reused buffer and one in-place minimum.
+    """
+    import numpy as np
+
+    cand = np.empty(w, dtype=np.int64)
+    for lo in range(w, len(best), w):
+        row = best[lo : lo + w]
+        part = cand[: len(row)]
+        np.add(best[lo - w : lo - w + len(row)], c, out=part)
+        np.minimum(row, part, out=row)
+
+
+def _min_by_residues(best, w: int, c: int) -> None:
+    """The same column as _min_by_rows, as one running minimum per residue class.
+
+    Each residue class of values mod w is one running minimum:
+    best[r + k*w] = k*c + min over i <= k of (best[r + i*w] - i*c).  The
+    table is taken in blocks of _BLOCK_VALUES // w rows, so that a block
+    stays in cache and the ramp k*c is one short array, not one as long as
+    the table.  A block is a (rows, w) view whose columns are the residue
+    classes.  Its first row continues the row before the block by one step
+    of the recurrence, and its remaining values, the first entries of one
+    more row, continue its last row the same way.  An unreachable value
+    stays exactly inf: if every earlier entry of its class is inf, the
+    minimum is inf - k*c, taken at i = k, and inf + c is never below inf.
+    """
+    import numpy as np
+
+    ramp = np.arange(min(_BLOCK_VALUES, len(best)) // w, dtype=np.int64)
+    ramp *= c
+    step = len(ramp) * w
+    for lo in range(0, len(best), step):
+        block = best[lo : lo + step]
+        if lo:
+            head = block[:w]
+            np.minimum(head, best[lo - w : lo - w + len(head)] + c, out=head)
+        rows, tail = divmod(len(block), w)
+        if not rows:
+            break
+        table = block[: rows * w].reshape(rows, w)
+        table -= ramp[:rows, None]
+        np.minimum.accumulate(table, axis=0, out=table)
+        table += ramp[:rows, None]
+        if tail:
+            rest = block[rows * w :]
+            np.minimum(rest, table[-1, :tail] + c, out=rest)
 
 
 def _reconstruct(

@@ -452,6 +452,12 @@ def test_int64_fill_edge_tables():
 
 def test_int64_fill_keeps_tie_rule_at_scale():
     pytest.importorskip("numpy")
+    # narrow columns over a table of several blocks
+    rhs = 2 * knapsack._BLOCK_VALUES + 11
+    assert _int64_agrees_with_python((3, 5, 7), rhs, (1, 1, 1)) == (
+        (rhs + 6) // 7,
+        (1, 1, (rhs - 8) // 7),
+    )
     # equal costs tie every combination with the same item count; costs
     # proportional to weights tie every combination at each value
     assert _int64_agrees_with_python((4, 7, 11, 28), 40_000, (1, 1, 1, 1)) == (
@@ -461,6 +467,85 @@ def test_int64_fill_keeps_tie_rule_at_scale():
     value, x = _int64_agrees_with_python((3, 5, 6, 10, 15), 50_001, (3, 5, 6, 10, 15))
     assert value == 50_001
     assert x == (16_667, 0, 0, 0, 0)
+
+
+def _wide_surrogates():
+    """Seeded (weights, rhs, costs) around the weight that switches kernels."""
+    rng = random.Random(1729)
+    t = knapsack._ROW_FILL_WEIGHT
+    for wide in (t - 1, t, t + 1, 2 * t + 3):
+        for rows in (1, 2, 3, 5):
+            # full rows only, one value short of them, or a partial last row
+            for rhs in (rows * wide - 1, rows * wide - 2, rows * wide + rng.randint(1, wide - 1)):
+                narrow = [rng.randint(1, 40) for _ in range(rng.randint(0, 2))]
+                unit = [1] if rng.random() < 0.5 else []
+                beyond = [rhs + rng.randint(1, 50)] if rng.random() < 0.3 else []
+                weights = [wide, *narrow, *unit, *beyond]
+                rng.shuffle(weights)
+                kind = rng.choice(("random", "zero", "equal", "proportional"))
+                if kind == "random":
+                    costs = [rng.randint(0, 2**40) for _ in weights]
+                elif kind == "zero":
+                    costs = [0] * len(weights)
+                elif kind == "equal":
+                    costs = [rng.randint(0, 9)] * len(weights)
+                else:
+                    costs = list(weights)
+                yield tuple(weights), rhs, tuple(costs)
+
+
+@pytest.mark.parametrize("block", [None, 1024])
+def test_int64_kernels_match_python_fill_around_the_row_weight(monkeypatch, block):
+    pytest.importorskip("numpy")
+    if block is not None:
+        # blocks of a few rows: narrow columns cross many block boundaries,
+        # and a last block can be shorter than one row
+        monkeypatch.setattr(knapsack, "_BLOCK_VALUES", block)
+    ran = []
+    for name in ("_min_by_rows", "_min_by_residues"):
+        kernel = getattr(knapsack, name)
+
+        def spy(best, w, c, _kernel=kernel, _name=name):
+            ran.append(_name)
+            return _kernel(best, w, c)
+
+        monkeypatch.setattr(knapsack, name, spy)
+    infeasible = feasible = 0
+    for weights, rhs, costs in _wide_surrogates():
+        value, _ = _int64_agrees_with_python(weights, rhs, costs)
+        infeasible += value is None
+        feasible += value is not None
+    assert infeasible > 5 and feasible > 20
+    assert ran.count("_min_by_rows") > 20 and ran.count("_min_by_residues") > 50
+
+
+@pytest.mark.parametrize(
+    ("cost", "path"), [(2**48 - 1, "_fill_int64"), (2**48, "_fill_python")]
+)
+def test_overflow_proof_boundary_on_a_wide_column(monkeypatch, cost, path):
+    pytest.importorskip("numpy")
+    # rhs + 1 = 2**14, so the sentinel is 2**62 - 2**14 + 1 or 2**62 + 1.
+    # The first column runs row by row, and every value it cannot hit adds
+    # a cost to the sentinel.  Value 1 stays unreachable to the end.
+    rhs = 2**14 - 1
+    weights = (knapsack._ROW_FILL_WEIGHT, 3, 2)
+    costs = (cost, cost - 1, cost)
+    inf = knapsack._unreachable(costs, rhs)
+    assert inf == cost * 2**14 + 1
+    ran = _record_fills(monkeypatch)
+    sol = solve_knapsack(_kp(weights, rhs, costs))
+    assert ran == [path]
+    monkeypatch.undo()
+    ref = knapsack._fill_python(weights, costs, rhs, inf)
+    assert ref[1] == inf
+    assert sol.value == ref[rhs]
+    assert sol.x == knapsack._reconstruct(ref, weights, costs, rhs)
+    if path == "_fill_int64":
+        assert list(knapsack._fill_int64(weights, costs, rhs, inf)) == ref
+        # a sentinel of exactly 2**62 is still inside the proof
+        top = 1 << 62
+        ref = knapsack._fill_python(weights, costs, rhs, top)
+        assert list(knapsack._fill_int64(weights, costs, rhs, top)) == ref
 
 
 def test_int64_fill_runs_above_the_threshold(monkeypatch):
@@ -498,12 +583,12 @@ def test_overflow_proof_boundary(monkeypatch, cost, path):
 
 
 def test_solve_original_without_numpy(monkeypatch):
-    # aggregated rhs 451**2 - 1 over five columns: above the size at which
+    # aggregated rhs 521**2 - 1 over five columns: above the size at which
     # a process without numpy would import it
     inst = IPInstance.from_rows(
-        [[1, 0, 1, 2, 0], [0, 1, 1, 1, 3]], [450, 450], [2, 2, 3, 5, 7]
+        [[1, 0, 1, 2, 0], [0, 1, 1, 1, 3]], [520, 520], [2, 2, 3, 5, 7]
     )
-    assert 5 * 451**2 >= knapsack._NUMPY_COLD_CELLS
+    assert 5 * 521**2 >= knapsack._NUMPY_COLD_CELLS
     usual = solve_original(inst)
     monkeypatch.setitem(sys.modules, "numpy", None)
     ran = _record_fills(monkeypatch)
