@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -192,7 +193,16 @@ def reduce(inst: IPInstance) -> Reduction:
 def _parse_int(raw: object, where: str) -> int:
     if not isinstance(raw, str) or not _INT_RE.match(raw):
         raise ParseError(f"{where}: expected a decimal integer string, got {raw!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError as exc:
+        # the only failure left: Python's limit on decimal digits, which the
+        # process owns and this library leaves as it is
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"{where}: {len(raw.lstrip('-'))} digits is more than the "
+            f"{limit}-digit limit for decimal integer strings"
+        ) from exc
 
 
 def parse_instance(text: str | bytes) -> IPInstance:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from operator import sub
 from typing import Sequence
 
 from .aggregation import aggregate, aggregation_vector, vertex_lower_bound
@@ -101,10 +103,18 @@ def enumerate_feasible(
     Raises CapExceeded as soon as more than cap points have been found;
     nothing partial is returned.
 
-    The search assigns variables in ascending order of their bound, so the
-    widest-ranging variable comes last where a divisibility check replaces
-    the scan, and prunes any branch whose remaining columns cannot touch a
-    row with residual left.
+    The search assigns variables in ascending order of their bound and
+    prunes any branch whose remaining columns cannot touch a row with
+    residual left.  The two widest-ranging variables, x_j and x_k, come
+    last and are solved together: on the first row p where column k is
+    positive, A_pj x_j + A_pk x_k = r_p is a two-variable linear
+    Diophantine equation.  With g = gcd(A_pj, A_pk) it has no solution
+    unless g divides r_p, and otherwise x_j runs over the one residue class
+    modulo A_pk / g that the modular inverse of A_pj / g picks out (extended
+    Euclid), x_k follows by exact division, and only the other rows remain
+    to check.  With one column, or an all-zero last column (possible only
+    under var_bound), the last variable alone is solved by division or
+    scanned.
     """
     m = len(A)
     if m == 0:
@@ -155,14 +165,43 @@ def enumerate_feasible(
             raise CapExceeded(f"more than {cap} feasible points")
         found.append(tuple(x))
 
+    # the last two variables x_j, x_k, solved together on the pivot row p
+    pair = None
+    if n >= 2:
+        j, k = order[n - 2], order[n - 1]
+        cj, ck = cols[j], cols[k]
+        p = next((i for i in range(m) if ck[i] > 0), None)
+        if p is not None:
+            g = gcd(cj[p], ck[p])
+            step = ck[p] // g
+            inv = pow(cj[p] // g, -1, step)
+            # rows besides p that x_j or x_k touch; live[n - 2] already
+            # requires a zero residual on every row that neither touches
+            rest = [
+                (i, cj[i], ck[i]) for i in range(m) if i != p and (cj[i] or ck[i])
+            ]
+            pair = (j, k, p, cj[p], ck[p], g, step, inv, rest)
+
+    def solve_pair(hi: int) -> None:
+        j, k, p, ajp, akp, g, step, inv, rest = pair
+        rp = resid[p]
+        if rp % g:
+            return
+        for v in range(rp // g * inv % step, hi + 1, step):
+            w = (rp - v * ajp) // akp
+            for i, aj, ak in rest:
+                if resid[i] != v * aj + w * ak:
+                    break
+            else:
+                x[j] = v
+                x[k] = w
+                emit()
+
     def walk(d: int) -> None:
         alive = live[d]
         for i in range(m):
             if resid[i] and not alive[i]:
                 return
-        if d == n:
-            emit()
-            return
         j = order[d]
         col = cols[j]
         if d == n - 1:
@@ -184,6 +223,9 @@ def enumerate_feasible(
         for i in range(m):
             if col[i] > 0:
                 hi = min(hi, resid[i] // col[i])
+        if pair is not None and d == n - 2:
+            solve_pair(hi)
+            return
         for v in range(hi + 1):
             x[j] = v
             walk(d + 1)
@@ -346,29 +388,34 @@ def vertex_set(
 
     Three passes.  First, any point that is the exact midpoint of two others
     in the set is discarded with the obvious half-half witness; a true
-    vertex can never be such a midpoint.  Second, each survivor that comes
-    strictly first among the current candidate pool under some signed
-    lexicographic order is a vertex, proven by integer comparisons alone.
-    Third, every other survivor is tested against the pool with the exact
-    LP, which either gives its convex weights or proves it a vertex.
-    Dropping proven non-vertices from the pool is safe because the pool
-    always contains every vertex, and membership in the hull of the full
-    set equals membership in the hull of its vertices.  A vertex proven by
-    its order uses no pivots, so IterationLimit is raised only when an LP
-    actually runs past pivot_cap.
+    vertex can never be such a midpoint.  Of two points q, 2p - q other than
+    p, one is lexicographically below p and the other above it, so the pass
+    tries only the points below p, in ascending order.  On a sorted set,
+    which every caller passes, those are the points before p, and the pair
+    found is the one a scan of the whole set would find first.  Second,
+    each survivor that comes strictly first among the current candidate
+    pool under some signed lexicographic order is a vertex, proven by
+    integer comparisons alone.  Third, every other survivor is tested
+    against the pool with the exact LP, which either gives its convex
+    weights or proves it a vertex.  Dropping proven non-vertices from the
+    pool is safe because the pool always contains every vertex, and
+    membership in the hull of the full set equals membership in the hull
+    of its vertices.  A vertex proven by its order uses no pivots, so
+    IterationLimit is raised only when an LP actually runs past pivot_cap.
     """
     pts = points.points
     index = {p: i for i, p in enumerate(pts)}
+    ranked = sorted(pts)
     half = Fraction(1, 2)
     witnesses: dict[Point, Witness] = {}
     survivors: list[Point] = []
     for p in pts:
         dbl = tuple(2 * v for v in p)
         wit: Witness | None = None
-        for q in pts:
-            if q == p:
-                continue
-            other = tuple(dv - qv for dv, qv in zip(dbl, q))
+        for q in ranked:
+            if q >= p:
+                break
+            other = tuple(map(sub, dbl, q))
             t = index.get(other)
             if t is not None:
                 i, j = sorted((index[q], t))

@@ -126,6 +126,20 @@ def test_malformed_input_exit(tmp_path, capsys):
     assert rep["status"] == "input_error"
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on integer string digits",
+)
+def test_integer_past_the_digit_limit_exits_as_input_error(tmp_path, capsys):
+    digits = sys.get_int_max_str_digits() + 1
+    doc = {"A": [["1"]], "b": ["1" + "0" * (digits - 1)], "c": ["1"]}
+    code, rep = _run(capsys, ["aggregate", _write(tmp_path, doc)])
+    assert code == 4
+    assert rep["status"] == "input_error"
+    assert rep["error"]["type"] == "ParseError"
+    assert rep["error"]["message"].startswith(f"b[0]: {digits} digits")
+
+
 def test_missing_file_exit(tmp_path, capsys):
     code, rep = _run(capsys, ["solve", str(tmp_path / "nope.json")])
     assert code == 4

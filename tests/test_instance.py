@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -77,6 +78,22 @@ def test_parse_rejects_negative_rhs():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_instance(text)
+
+
+# Python 3.10 builds differ: some have no digit limit, some report 0 (none)
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no limit on integer string digits")
+def test_parse_rejects_integers_past_the_digit_limit():
+    at_limit = "1" + "0" * (INT_DIGIT_LIMIT - 1)
+    inst = parse_instance(json.dumps(dict(DEMO, c=["1", "1", at_limit])))
+    assert inst.c[2] == int(at_limit)
+    doc = dict(DEMO, b=["1", "-" + at_limit + "0"])
+    message = rf"b\[1\]: {INT_DIGIT_LIMIT + 1} digits .* {INT_DIGIT_LIMIT}-digit limit"
+    with pytest.raises(ParseError, match=message):
+        parse_instance(json.dumps(doc))
+    assert sys.get_int_max_str_digits() == INT_DIGIT_LIMIT
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from knapagg import (
     IterationLimit,
     PointSet,
     ValidationError,
+    VertexReport,
     brute_force_optimum,
     check_box_injectivity,
     check_convex_combination,
@@ -27,10 +28,16 @@ from knapagg import (
 from knapagg.oracle import DEFAULT_PIVOT_CAP, _convex_weights, _lex_extreme
 
 
-def _brute_points(A, b, limit):
+def _brute_points(A, b, var_bound=None):
+    # every point of the box that each column's own rows bound, var_bound
+    # for a column of zeros
     m, n = len(A), len(A[0])
+    box = []
+    for j in range(n):
+        rows = [i for i in range(m) if A[i][j] > 0]
+        box.append(min(b[i] // A[i][j] for i in rows) if rows else var_bound)
     out = []
-    for x in product(range(limit + 1), repeat=n):
+    for x in product(*(range(v + 1) for v in box)):
         if all(sum(A[i][j] * x[j] for j in range(n)) == b[i] for i in range(m)):
             out.append(x)
     return sorted(out)
@@ -123,15 +130,67 @@ def test_enumerate_no_columns():
 
 def test_enumerate_matches_brute_force():
     rng = random.Random(8080)
-    for _ in range(80):
-        m = rng.randint(1, 2)
-        n = rng.randint(1, 3)
+    zero_columns = 0
+    for _ in range(400):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 6)
         A = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
+        var_bound = rng.randint(0, 3)
         for j in range(n):
-            A[rng.randrange(m)][j] = max(1, A[rng.randrange(m)][j])
+            if rng.random() < 0.1:
+                for row in A:
+                    row[j] = 0
+                zero_columns += 1
+            else:
+                A[rng.randrange(m)][j] = max(1, A[rng.randrange(m)][j])
         b = [rng.randint(0, 6) for _ in range(m)]
-        pts = enumerate_feasible(tuple(map(tuple, A)), tuple(b))
-        assert list(pts.points) == _brute_points(A, b, max(b, default=0))
+        pts = enumerate_feasible(tuple(map(tuple, A)), tuple(b), var_bound=var_bound)
+        assert list(pts.points) == _brute_points(A, b, var_bound)
+    assert zero_columns > 20
+
+
+@pytest.mark.parametrize(
+    "A, b, var_bound, expect",
+    [
+        # gcd 2 on the pivot row: x_1 runs over one class mod 2, and an odd
+        # right-hand side is refused before any scan
+        (((4, 6),), (24,), None, ((0, 4), (3, 2), (6, 0))),
+        (((4, 6),), (26,), None, ((2, 3), (5, 1))),
+        (((4, 6),), (25,), None, ()),
+        (
+            ((6, 4, 10),), (30,), None,
+            ((0, 0, 3), (0, 5, 1), (1, 1, 2), (1, 6, 0), (2, 2, 1), (3, 3, 0), (5, 0, 0)),
+        ),
+        # the next-to-last column is zero on the pivot row
+        (((0, 1, 2), (1, 1, 1)), (4, 3), None, ((0, 2, 1), (1, 0, 2))),
+        # the pivot row is row 1; rows 0 and 2 are checked after it
+        (((0, 2, 0), (2, 0, 1), (2, 1, 1)), (4, 4, 6), None, ((0, 2, 4), (1, 2, 2), (2, 2, 0))),
+        # a row neither of the last two columns touches must be zero already
+        (((1, 1, 1), (1, 0, 0)), (3, 1), None, ((1, 0, 2), (1, 1, 1), (1, 2, 0))),
+        (((1, 1, 1), (1, 0, 0), (1, 2, 0)), (3, 1, 3), None, ((1, 1, 1),)),
+        # one column, and two
+        (((3,),), (9,), None, ((3,),)),
+        (((3,),), (10,), None, ()),
+        (((2, 3), (1, 1)), (12, 5), None, ((3, 2),)),
+        # an all-zero last column, boxed by var_bound, is scanned; an
+        # all-zero column with the smaller box comes first
+        (((1, 0),), (2,), 3, ((2, 0), (2, 1), (2, 2), (2, 3))),
+        (((1, 0),), (2,), 1, ((2, 0), (2, 1))),
+        (((1, 1, 0),), (1,), 0, ((0, 1, 0), (1, 0, 0))),
+    ],
+)
+def test_enumerate_fixed_cases(A, b, var_bound, expect):
+    assert _brute_points(A, b, var_bound) == list(expect)
+    assert enumerate_feasible(A, b, var_bound=var_bound).points == expect
+
+
+def test_enumerate_cap_is_the_point_count():
+    # 16 points, most of them emitted by the last two variables together
+    A, b = ((1, 2, 1),), (6,)
+    count = len(_brute_points(A, b))
+    assert len(enumerate_feasible(A, b, cap=count)) == count
+    with pytest.raises(CapExceeded):
+        enumerate_feasible(A, b, cap=count - 1)
 
 
 def test_point_set_validation():
@@ -359,6 +418,93 @@ def test_vertex_set_matches_independent_oracle():
                 for i in range(d):
                     combo[i] += w * pts[idx][i]
             assert total == 1 and tuple(combo) == p
+
+
+def _full_scan_vertex_set(points, pivot_cap=DEFAULT_PIVOT_CAP):
+    # vertex_set with a midpoint pass that tries every other point, in the
+    # set's order, as one end of a pair: the reference for the half scan
+    pts = points.points
+    index = {p: i for i, p in enumerate(pts)}
+    witnesses = {}
+    survivors = []
+    for p in pts:
+        dbl = tuple(2 * v for v in p)
+        for q in pts:
+            if q == p:
+                continue
+            t = index.get(tuple(dv - qv for dv, qv in zip(dbl, q)))
+            if t is not None:
+                i, j = sorted((index[q], t))
+                witnesses[p] = ((i, Fraction(1, 2)), (j, Fraction(1, 2)))
+                break
+        else:
+            survivors.append(p)
+    pool = list(survivors)
+    vertices = []
+    for p in survivors:
+        others = [q for q in pool if q != p]
+        lam = _convex_weights(p, others, pivot_cap)
+        if lam is None:
+            vertices.append(p)
+        else:
+            witnesses[p] = tuple(
+                (index[others[t]], lam[t]) for t in range(len(others)) if lam[t]
+            )
+            pool.remove(p)
+    return VertexReport(points, tuple(vertices), witnesses)
+
+
+def _midpoint_sets(rng, count):
+    sets = []
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        hi = rng.choice((2, 4, 8))
+        pts = {tuple(rng.randint(0, hi) for _ in range(d)) for _ in range(rng.randint(1, 20))}
+        sets.append(sorted(pts))
+    return sets
+
+
+def test_midpoint_half_scan_matches_the_full_scan():
+    sets = _midpoint_sets(random.Random(4417), 200)
+    reports = [vertex_set(PointSet(len(pts[0]), tuple(pts))) for pts in sets]
+    assert reports == [_full_scan_vertex_set(r.points) for r in reports]
+    halves = sum(
+        all(w == Fraction(1, 2) for _, w in wit)
+        for r in reports
+        for wit in r.witnesses.values()
+    )
+    assert halves > 200
+
+
+def test_midpoint_half_scan_on_unsorted_sets(monkeypatch):
+    # the LP would classify a point the midpoint pass missed all the same,
+    # so record the points that reach it: exactly those of no midpoint pair
+    tested = []
+
+    def recording(p, others, pivot_cap):
+        tested.append(p)
+        return _convex_weights(p, others, pivot_cap)
+
+    monkeypatch.setattr(knapagg.oracle, "_convex_weights", recording)
+    rng = random.Random(4418)
+    for pts in _midpoint_sets(rng, 200):
+        rng.shuffle(pts)
+        points = PointSet(len(pts[0]), tuple(pts))
+        tested.clear()
+        report = vertex_set(points)
+        pair_free = [
+            p for p in pts
+            if not any(tuple(2 * a - b for a, b in zip(p, q)) in pts for q in pts if q != p)
+        ]
+        assert tested == pair_free
+        want = _full_scan_vertex_set(points)
+        assert set(report.vertices) == set(want.vertices)
+        assert set(report.witnesses) == set(want.witnesses)
+        for p, wit in report.witnesses.items():
+            assert sum(w for _, w in wit) == 1 and all(w > 0 for _, w in wit)
+            assert all(pts[i] != p for i, _ in wit)
+            for c in range(len(p)):
+                assert sum(w * pts[i][c] for i, w in wit) == p[c]
 
 
 def _random_point_set(rng):
