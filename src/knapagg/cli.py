@@ -33,6 +33,7 @@ from .errors import (
 )
 from .instance import (
     IPInstance,
+    _parse_int,
     canonicalize_minimize,
     evaluate,
     instance_digest,
@@ -50,12 +51,11 @@ from .oracle import (
     DEFAULT_PIVOT_CAP,
     DEFAULT_POINT_CAP,
     PointSet,
-    _brute_force,
     _convex_weights,
-    _original_hull,
-    _rhs_lower_bound,
-    _vertex_preservation,
+    brute_force_optimum,
+    check_rhs_lower_bound,
     check_rhs_vertex,
+    check_vertex_preservation,
     enumerate_feasible,
     vertex_set,
 )
@@ -218,8 +218,8 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
         falsifications.append({"check": "rhs_vertex", "rhs": list(inst.b)})
 
     # one enumeration and one hull of the original set serve every check
-    hull = _original_hull(inner, cap, DEFAULT_PIVOT_CAP)
-    preserved = _vertex_preservation(inner, hull, cap, DEFAULT_PIVOT_CAP)
+    hull = vertex_set(enumerate_feasible(inner.A, inner.b, cap))
+    preserved = check_vertex_preservation(inner, hull, cap)
     checks["vertex_preservation"] = {
         "holds": preserved.holds,
         "vacuous": preserved.vacuous,
@@ -229,7 +229,7 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
             {"check": "vertex_preservation", "data": preserved.counterexample}
         )
 
-    lower = _rhs_lower_bound(inner, hull)
+    lower = check_rhs_lower_bound(inner, hull)
     checks["rhs_lower_bound"] = {"holds": lower.holds, "vacuous": lower.vacuous}
     if not lower.holds:
         falsifications.append(
@@ -237,7 +237,7 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
         )
 
     sol = solve_original(core)
-    oracle = _brute_force(inner, hull.points)
+    oracle = brute_force_optimum(inner, hull.points)
     agree = (
         sol.status == oracle.status == "optimal" and sol.objective == oracle.value
     ) or (sol.status == oracle.status == "infeasible")
@@ -261,10 +261,9 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
-    try:
-        point = tuple(int(v) for v in args.vertex.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--vertex must be a comma-separated integer list: {exc}")
+    point = tuple(
+        _parse_int(v, f"--vertex[{k}]") for k, v in enumerate(args.vertex.split(","))
+    )
     ev = evaluate(inst, point)  # raises on bad dimension or negative entries
     red = reduce(inst)
     _, a0 = aggregate(red.inner.A, red.inner.b)
@@ -426,17 +425,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         result, status = _HANDLERS[args.cmd](inst, args)
+        report["result"] = result
+        return _emit(report, status, started)
     except UnboundedProblem as exc:
         report["error"] = {"type": "UnboundedProblem", "message": str(exc)}
         return _emit(report, "unbounded", started)
     except (CapExceeded, IterationLimit) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return _emit(report, "cap_exceeded", started)
-    except (ValidationError, UsageError) as exc:
+    except (ParseError, ValidationError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return _emit(report, "input_error", started)
-    report["result"] = result
-    return _emit(report, status, started)
+    except ValueError as exc:
+        # Python writes no int past sys.get_int_max_str_digits() in decimal,
+        # and a value derived from inputs within that limit can outgrow it;
+        # the report is refused, the process-wide limit left as it is
+        if "integer string conversion" not in str(exc):
+            raise
+        report.pop("result", None)
+        report["error"] = {
+            "type": "CapExceeded",
+            "message": "a value derived from the input is past the "
+            f"{sys.get_int_max_str_digits()}-digit limit for decimal integer strings",
+        }
+        return _emit(report, "cap_exceeded", started)
 
 
 def console() -> None:

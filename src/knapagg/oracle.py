@@ -93,15 +93,13 @@ def enumerate_feasible(
     A: Sequence[Sequence[int]],
     b: Sequence[int],
     cap: int = DEFAULT_POINT_CAP,
-    var_bound: int | None = None,
 ) -> PointSet:
     """All nonnegative integer solutions of Ax = b, lexicographically sorted.
 
-    Columns with a positive entry get the natural bound min(b_i // A_ij);
-    all-zero columns have no natural bound and need var_bound, which caps
-    only those variables (the enumeration is then truncated to that box).
-    Raises CapExceeded as soon as more than cap points have been found;
-    nothing partial is returned.
+    Every column needs a positive entry, which gives it the natural bound
+    min(b_i // A_ij); an all-zero column has no bound and is refused with
+    ValidationError.  Raises CapExceeded as soon as more than cap points
+    have been found; nothing partial is returned.
 
     The search assigns variables in ascending order of their bound and
     prunes any branch whose remaining columns cannot touch a row with
@@ -112,9 +110,7 @@ def enumerate_feasible(
     unless g divides r_p, and otherwise x_j runs over the one residue class
     modulo A_pk / g that the modular inverse of A_pj / g picks out (extended
     Euclid), x_k follows by exact division, and only the other rows remain
-    to check.  With one column, or an all-zero last column (possible only
-    under var_bound), the last variable alone is solved by division or
-    scanned.
+    to check.  A single column is solved by division.
     """
     m = len(A)
     if m == 0:
@@ -139,14 +135,17 @@ def enumerate_feasible(
     cols = [tuple(A[i][j] for i in range(m)) for j in range(n)]
     bounds: list[int] = []
     for j, col in enumerate(cols):
-        if any(v > 0 for v in col):
-            bounds.append(min(b[i] // col[i] for i in range(m) if col[i] > 0))
-        elif var_bound is not None:
-            bounds.append(var_bound)
-        else:
-            raise ValidationError(
-                f"column {j} is identically zero; pass var_bound to enumerate"
-            )
+        if not any(col):
+            raise ValidationError(f"column {j} is identically zero and has no bound")
+        bounds.append(min(b[i] // col[i] for i in range(m) if col[i] > 0))
+
+    if n == 1:
+        col = cols[0]
+        p = next(i for i in range(m) if col[i] > 0)
+        q, r = divmod(b[p], col[p])
+        hit = r == 0 and all(col[i] * q == b[i] for i in range(m))
+        return PointSet(1, ((q,),) if hit else ())
+
     order = sorted(range(n), key=lambda j: (bounds[j], j))
 
     # live[d][i]: some column at depth >= d touches row i
@@ -160,80 +159,53 @@ def enumerate_feasible(
     x = [0] * n
     resid = list(b)
 
-    def emit() -> None:
-        if len(found) >= cap:
-            raise CapExceeded(f"more than {cap} feasible points")
-        found.append(tuple(x))
-
     # the last two variables x_j, x_k, solved together on the pivot row p
-    pair = None
-    if n >= 2:
-        j, k = order[n - 2], order[n - 1]
-        cj, ck = cols[j], cols[k]
-        p = next((i for i in range(m) if ck[i] > 0), None)
-        if p is not None:
-            g = gcd(cj[p], ck[p])
-            step = ck[p] // g
-            inv = pow(cj[p] // g, -1, step)
-            # rows besides p that x_j or x_k touch; live[n - 2] already
-            # requires a zero residual on every row that neither touches
-            rest = [
-                (i, cj[i], ck[i]) for i in range(m) if i != p and (cj[i] or ck[i])
-            ]
-            pair = (j, k, p, cj[p], ck[p], g, step, inv, rest)
-
-    def solve_pair(hi: int) -> None:
-        j, k, p, ajp, akp, g, step, inv, rest = pair
-        rp = resid[p]
-        if rp % g:
-            return
-        for v in range(rp // g * inv % step, hi + 1, step):
-            w = (rp - v * ajp) // akp
-            for i, aj, ak in rest:
-                if resid[i] != v * aj + w * ak:
-                    break
-            else:
-                x[j] = v
-                x[k] = w
-                emit()
+    j, k = order[n - 2], order[n - 1]
+    cj, ck = cols[j], cols[k]
+    p = next(i for i in range(m) if ck[i] > 0)
+    ajp, akp = cj[p], ck[p]
+    g = gcd(ajp, akp)
+    step = akp // g
+    inv = pow(ajp // g, -1, step)
+    # rows besides p that x_j or x_k touch; live[n - 2] already requires a
+    # zero residual on every row that neither touches
+    rest = [(i, cj[i], ck[i]) for i in range(m) if i != p and (cj[i] or ck[i])]
 
     def walk(d: int) -> None:
         alive = live[d]
         for i in range(m):
             if resid[i] and not alive[i]:
                 return
-        j = order[d]
-        col = cols[j]
-        if d == n - 1:
-            pivot = next((i for i in range(m) if col[i] > 0), None)
-            if pivot is None:
-                # all-zero last column; residuals are zero by the guard above
-                for v in range(bounds[j] + 1):
-                    x[j] = v
-                    emit()
-                x[j] = 0
-                return
-            q, r = divmod(resid[pivot], col[pivot])
-            if r == 0 and all(col[i] * q == resid[i] for i in range(m)):
-                x[j] = q
-                emit()
-                x[j] = 0
-            return
-        hi = bounds[j]
+        t = order[d]
+        col = cols[t]
+        hi = bounds[t]
         for i in range(m):
             if col[i] > 0:
                 hi = min(hi, resid[i] // col[i])
-        if pair is not None and d == n - 2:
-            solve_pair(hi)
+        if d == n - 2:
+            rp = resid[p]
+            if rp % g:
+                return
+            for v in range(rp // g * inv % step, hi + 1, step):
+                w = (rp - v * ajp) // akp
+                for i, aj, ak in rest:
+                    if resid[i] != v * aj + w * ak:
+                        break
+                else:
+                    if len(found) >= cap:
+                        raise CapExceeded(f"more than {cap} feasible points")
+                    x[j] = v
+                    x[k] = w
+                    found.append(tuple(x))
             return
         for v in range(hi + 1):
-            x[j] = v
+            x[t] = v
             walk(d + 1)
             for i in range(m):
                 resid[i] -= col[i]
         for i in range(m):
             resid[i] += col[i] * (hi + 1)
-        x[j] = 0
+        x[t] = 0
 
     walk(0)
     found.sort()
@@ -440,18 +412,13 @@ def vertex_set(
     return VertexReport(points, tuple(vertices), witnesses)
 
 
-def brute_force_optimum(
-    inst: IPInstance, cap: int = DEFAULT_POINT_CAP
-) -> BruteForceResult:
-    """Minimum of c^T x over the enumerated feasible set, with all argmins.
+def brute_force_optimum(inst: IPInstance, pts: PointSet) -> BruteForceResult:
+    """Minimum of c^T x over a point set, with all argmins.
 
-    The instance must have a finite box (no zero columns), and its sense is
-    taken as minimize; canonicalize first for maximize programs.
+    pts is the feasible set of the instance, as enumerate_feasible(inst.A,
+    inst.b) returns it; the sense is taken as minimize, so canonicalize
+    first for maximize programs.
     """
-    return _brute_force(inst, enumerate_feasible(inst.A, inst.b, cap))
-
-
-def _brute_force(inst: IPInstance, pts: PointSet) -> BruteForceResult:
     if not pts.points:
         return BruteForceResult("infeasible", None, ())
     values = [
@@ -500,35 +467,19 @@ def check_rhs_vertex(
     return _convex_weights(bt, others, pivot_cap) is None
 
 
-def _original_hull(
-    inst: IPInstance, cap: int, pivot_cap: int
-) -> VertexReport:
-    """The original feasible set and its vertices; an empty set is not hulled."""
-    pts = enumerate_feasible(inst.A, inst.b, cap)
-    if not pts.points:
-        return VertexReport(pts, ())
-    return vertex_set(pts, pivot_cap)
-
-
 def check_vertex_preservation(
     inst: IPInstance,
+    report: VertexReport,
     cap: int = DEFAULT_POINT_CAP,
     pivot_cap: int = DEFAULT_PIVOT_CAP,
 ) -> CheckOutcome:
     """Every vertex of the original hull stays a vertex after aggregation.
 
-    Enumerates both feasible sets (the instance must be free of zero
-    columns), extracts the original vertices, and proves each one lies
-    outside the hull of the other aggregated points.  Empty feasible set
-    reports vacuous success.
+    report is vertex_set of the original feasible set.  Enumerates the
+    aggregated feasible set (the instance must be free of zero columns) and
+    proves each original vertex lies outside the hull of the other
+    aggregated points.  An empty feasible set reports vacuous success.
     """
-    report = _original_hull(inst, cap, pivot_cap)
-    return _vertex_preservation(inst, report, cap, pivot_cap)
-
-
-def _vertex_preservation(
-    inst: IPInstance, report: VertexReport, cap: int, pivot_cap: int
-) -> CheckOutcome:
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
     a, a0 = aggregate(inst.A, inst.b)
@@ -552,16 +503,12 @@ def _vertex_preservation(
     return CheckOutcome(True)
 
 
-def check_rhs_lower_bound(
-    inst: IPInstance,
-    cap: int = DEFAULT_POINT_CAP,
-    pivot_cap: int = DEFAULT_PIVOT_CAP,
-) -> CheckOutcome:
-    """The aggregated rhs dominates prod(v_i + 1) - 1 at every original vertex."""
-    return _rhs_lower_bound(inst, _original_hull(inst, cap, pivot_cap))
+def check_rhs_lower_bound(inst: IPInstance, report: VertexReport) -> CheckOutcome:
+    """The aggregated rhs dominates prod(v_i + 1) - 1 at every original vertex.
 
-
-def _rhs_lower_bound(inst: IPInstance, report: VertexReport) -> CheckOutcome:
+    report is vertex_set of the original feasible set; an empty set reports
+    vacuous success.
+    """
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
     _, a0 = aggregate(inst.A, inst.b)

@@ -87,8 +87,9 @@ def _criterion1(instances: list[IPInstance]) -> dict:
     stream = hashlib.sha256()
     for inst in instances:
         sub = _geometry(inst)
-        preserved = check_vertex_preservation(sub)
-        lower = check_rhs_lower_bound(sub)
+        hull = vertex_set(enumerate_feasible(sub.A, sub.b))
+        preserved = check_vertex_preservation(sub, hull)
+        lower = check_rhs_lower_bound(sub, hull)
         injective = True
         vertex_count = 0
         if preserved.vacuous:
@@ -147,7 +148,8 @@ def _criterion3(instances: list[IPInstance]) -> dict:
             solver_status = "unbounded"
             solver_value = None
         # rows as given, so the reference also checks the row restriction
-        res = brute_force_optimum(_geometry(inst))
+        geo = _geometry(inst)
+        res = brute_force_optimum(geo, enumerate_feasible(geo.A, geo.b))
         oracle_status = res.status
         oracle_value = res.value
         free = [j for j in range(inst.n) if not any(row[j] for row in inst.A)]
@@ -226,8 +228,9 @@ def _criterion5(tmp_dir) -> dict:
     sol = solve_original(inst)
     red = reduce(inst)
     box = box_bounds(red.inner)
-    preserved = check_vertex_preservation(red.inner)
-    lower = check_rhs_lower_bound(red.inner)
+    hull = vertex_set(enumerate_feasible(red.inner.A, red.inner.b))
+    preserved = check_vertex_preservation(red.inner, hull)
+    lower = check_rhs_lower_bound(red.inner, hull)
     path = tmp_dir / "demo.json"
     path.write_text(DEMO_TEXT)
     solve_code, solve_out = _run_cli(["solve", str(path)])

@@ -25,9 +25,11 @@ from knapagg import (
     check_rhs_lower_bound,
     check_rhs_vertex,
     check_vertex_preservation,
+    enumerate_feasible,
     reduce,
     serialize_instance,
     solve_original,
+    vertex_set,
 )
 from knapagg.cli import _render, main
 from knapagg.oracle import DEFAULT_POINT_CAP
@@ -140,6 +142,31 @@ def test_integer_past_the_digit_limit_exits_as_input_error(tmp_path, capsys):
     assert rep["error"]["message"].startswith(f"b[0]: {digits} digits")
 
 
+def _digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python sets no limit on decimal integer strings")
+    return limit
+
+
+@pytest.mark.parametrize("cmd", ["aggregate", "solve"])
+def test_derived_value_past_the_digit_limit_is_refused(tmp_path, capsys, cmd):
+    # each b_i is within the limit; the aggregated rhs (b_1 + 1)(b_2 + 1) - 1
+    # has about twice its digits
+    limit = _digit_limit()
+    big = "1" + "0" * (limit // 2 + 50)
+    doc = {"A": [["1", "0"], ["0", "1"]], "b": [big, big], "c": ["1", "1"]}
+    assert main([cmd, _write(tmp_path, doc)]) == 3
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rep["status"] == "cap_exceeded"
+    assert "result" not in rep
+    assert rep["error"]["type"] == "CapExceeded"
+    assert f"{limit}-digit limit" in rep["error"]["message"]
+    assert "Traceback" not in err
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_missing_file_exit(tmp_path, capsys):
     code, rep = _run(capsys, ["solve", str(tmp_path / "nope.json")])
     assert code == 4
@@ -227,6 +254,18 @@ def test_bound_rejects_positive_free_column(tmp_path, capsys):
 def test_bound_usage_error(tmp_path, capsys):
     code, _ = _run(capsys, ["bound", _write(tmp_path, DEMO), "--vertex", "a,b,c"])
     assert code == 4
+
+
+@pytest.mark.parametrize("vertex", ["+1,0,1", "1_0,0,1", " 1,0,1", "1,,1"])
+def test_bound_vertex_entries_follow_the_instance_format(tmp_path, capsys, vertex):
+    # int() would read these as (1, 0, 1), (10, 0, 1), (1, 0, 1) and refuse
+    # the last; the instance format refuses all four
+    code, rep = _run(capsys, ["bound", _write(tmp_path, DEMO), "--vertex", vertex])
+    assert code == 4
+    assert rep["status"] == "input_error"
+    assert rep["error"]["type"] == "ParseError"
+    assert rep["error"]["message"].startswith("--vertex[")
+    assert "result" not in rep
 
 
 def test_oracle_dump(tmp_path, capsys):
@@ -389,6 +428,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys, case, cmd):
 
 
 def _count_calls(monkeypatch, name):
+    # the oracle's own calls and the CLI's, through its imported names
     calls = []
     real = getattr(knapagg.oracle, name)
 
@@ -396,7 +436,9 @@ def _count_calls(monkeypatch, name):
         calls.append(name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(knapagg.oracle, name, counted)
+    for module in (knapagg.oracle, knapagg.cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -521,7 +563,8 @@ def test_verify_checks_the_restricted_rows_and_rhs_vertex_the_given_b(
         seen.append((tuple(map(tuple, A)), tuple(b)))
         return real(A, b, *args, **kwargs)
 
-    monkeypatch.setattr(knapagg.oracle, "enumerate_feasible", recorded)
+    for module in (knapagg.oracle, knapagg.cli):
+        monkeypatch.setattr(module, "enumerate_feasible", recorded)
     code, rep = _run(capsys, ["verify", _write(tmp_path, ZERO_ROW)])
     assert code == 0 and rep["result"]["falsifications"] == []
     # rhs_vertex aggregates b = (2, 0, 3) as given, weights (1, 3, 3);
@@ -532,7 +575,8 @@ def test_verify_checks_the_restricted_rows_and_rhs_vertex_the_given_b(
 
 @pytest.mark.parametrize("case,hulls,enumerations", [
     ("demo", 1, 3),
-    ("infeasible", 0, 2),
+    # the empty original set is hulled too, which does no work
+    ("infeasible", 1, 2),
 ])
 def test_verify_enumerates_and_hulls_the_original_set_once(
     tmp_path, capsys, monkeypatch, case, hulls, enumerations
@@ -588,10 +632,11 @@ def test_verify_checks_equal_the_public_checks(tmp_path, capsys):
 
         core = canonicalize_minimize(inst)
         inner = reduce(core).inner
-        preserved = check_vertex_preservation(inner)
-        lower = check_rhs_lower_bound(inner)
+        hull = vertex_set(enumerate_feasible(inner.A, inner.b))
+        preserved = check_vertex_preservation(inner, hull)
+        lower = check_rhs_lower_bound(inner, hull)
         sol = solve_original(core)
-        oracle = brute_force_optimum(inner)
+        oracle = brute_force_optimum(inner, hull.points)
         agree = (
             sol.status == oracle.status == "optimal"
             and sol.objective == oracle.value

@@ -8,7 +8,9 @@ import pytest
 
 import knapagg.oracle
 from knapagg import (
+    BruteForceResult,
     CapExceeded,
+    CheckOutcome,
     DimensionMismatch,
     IPInstance,
     IterationLimit,
@@ -28,14 +30,13 @@ from knapagg import (
 from knapagg.oracle import DEFAULT_PIVOT_CAP, _convex_weights, _lex_extreme
 
 
-def _brute_points(A, b, var_bound=None):
-    # every point of the box that each column's own rows bound, var_bound
-    # for a column of zeros
+def _brute_points(A, b):
+    # every point of the box that each column's own rows bound
     m, n = len(A), len(A[0])
     box = []
     for j in range(n):
         rows = [i for i in range(m) if A[i][j] > 0]
-        box.append(min(b[i] // A[i][j] for i in rows) if rows else var_bound)
+        box.append(min(b[i] // A[i][j] for i in rows))
     out = []
     for x in product(*(range(v + 1) for v in box)):
         if all(sum(A[i][j] * x[j] for j in range(n)) == b[i] for i in range(m)):
@@ -112,8 +113,6 @@ def test_enumerate_is_lexicographic():
 def test_enumerate_zero_column_needs_var_bound():
     with pytest.raises(ValidationError):
         enumerate_feasible(((1, 0),), (2,))
-    pts = enumerate_feasible(((1, 0),), (2,), var_bound=2)
-    assert pts.points == ((2, 0), (2, 1), (2, 2))
 
 
 def test_enumerate_cap():
@@ -130,58 +129,65 @@ def test_enumerate_no_columns():
 
 def test_enumerate_matches_brute_force():
     rng = random.Random(8080)
-    zero_columns = 0
+    refused = 0
     for _ in range(400):
         m = rng.randint(1, 3)
         n = rng.randint(1, 6)
         A = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
-        var_bound = rng.randint(0, 3)
+        zero_column = False
         for j in range(n):
             if rng.random() < 0.1:
                 for row in A:
                     row[j] = 0
-                zero_columns += 1
+                zero_column = True
             else:
                 A[rng.randrange(m)][j] = max(1, A[rng.randrange(m)][j])
         b = [rng.randint(0, 6) for _ in range(m)]
-        pts = enumerate_feasible(tuple(map(tuple, A)), tuple(b), var_bound=var_bound)
-        assert list(pts.points) == _brute_points(A, b, var_bound)
-    assert zero_columns > 20
+        if zero_column:
+            # a column of zeros has no bound to enumerate
+            with pytest.raises(ValidationError):
+                enumerate_feasible(tuple(map(tuple, A)), tuple(b))
+            refused += 1
+        else:
+            pts = enumerate_feasible(tuple(map(tuple, A)), tuple(b))
+            assert list(pts.points) == _brute_points(A, b)
+    assert 20 < refused < 200
 
 
+_FIXED_CASES = [
+    # gcd 2 on the pivot row: x_1 runs over one class mod 2, and an odd
+    # right-hand side is refused before any scan
+    (((4, 6),), (24,), ((0, 4), (3, 2), (6, 0))),
+    (((4, 6),), (26,), ((2, 3), (5, 1))),
+    (((4, 6),), (25,), ()),
+    (
+        ((6, 4, 10),), (30,),
+        ((0, 0, 3), (0, 5, 1), (1, 1, 2), (1, 6, 0), (2, 2, 1), (3, 3, 0), (5, 0, 0)),
+    ),
+    # the next-to-last column is zero on the pivot row
+    (((0, 1, 2), (1, 1, 1)), (4, 3), ((0, 2, 1), (1, 0, 2))),
+    # the pivot row is row 1; rows 0 and 2 are checked after it
+    (((0, 2, 0), (2, 0, 1), (2, 1, 1)), (4, 4, 6), ((0, 2, 4), (1, 2, 2), (2, 2, 0))),
+    # a row neither of the last two columns touches must be zero already
+    (((1, 1, 1), (1, 0, 0)), (3, 1), ((1, 0, 2), (1, 1, 1), (1, 2, 0))),
+    (((1, 1, 1), (1, 0, 0), (1, 2, 0)), (3, 1, 3), ((1, 1, 1),)),
+    # one column, and two
+    (((3,),), (9,), ((3,),)),
+    (((3,),), (10,), ()),
+    (((2, 3), (1, 1)), (12, 5), ((3, 2),)),
+]
+
+
+# the ids name a third parameter, always None, that bounded zero columns
+# before enumerate_feasible refused them; each case keeps its id
 @pytest.mark.parametrize(
-    "A, b, var_bound, expect",
-    [
-        # gcd 2 on the pivot row: x_1 runs over one class mod 2, and an odd
-        # right-hand side is refused before any scan
-        (((4, 6),), (24,), None, ((0, 4), (3, 2), (6, 0))),
-        (((4, 6),), (26,), None, ((2, 3), (5, 1))),
-        (((4, 6),), (25,), None, ()),
-        (
-            ((6, 4, 10),), (30,), None,
-            ((0, 0, 3), (0, 5, 1), (1, 1, 2), (1, 6, 0), (2, 2, 1), (3, 3, 0), (5, 0, 0)),
-        ),
-        # the next-to-last column is zero on the pivot row
-        (((0, 1, 2), (1, 1, 1)), (4, 3), None, ((0, 2, 1), (1, 0, 2))),
-        # the pivot row is row 1; rows 0 and 2 are checked after it
-        (((0, 2, 0), (2, 0, 1), (2, 1, 1)), (4, 4, 6), None, ((0, 2, 4), (1, 2, 2), (2, 2, 0))),
-        # a row neither of the last two columns touches must be zero already
-        (((1, 1, 1), (1, 0, 0)), (3, 1), None, ((1, 0, 2), (1, 1, 1), (1, 2, 0))),
-        (((1, 1, 1), (1, 0, 0), (1, 2, 0)), (3, 1, 3), None, ((1, 1, 1),)),
-        # one column, and two
-        (((3,),), (9,), None, ((3,),)),
-        (((3,),), (10,), None, ()),
-        (((2, 3), (1, 1)), (12, 5), None, ((3, 2),)),
-        # an all-zero last column, boxed by var_bound, is scanned; an
-        # all-zero column with the smaller box comes first
-        (((1, 0),), (2,), 3, ((2, 0), (2, 1), (2, 2), (2, 3))),
-        (((1, 0),), (2,), 1, ((2, 0), (2, 1))),
-        (((1, 1, 0),), (1,), 0, ((0, 1, 0), (1, 0, 0))),
-    ],
+    "A, b, expect",
+    _FIXED_CASES,
+    ids=[f"A{k}-b{k}-None-expect{k}" for k in range(len(_FIXED_CASES))],
 )
-def test_enumerate_fixed_cases(A, b, var_bound, expect):
-    assert _brute_points(A, b, var_bound) == list(expect)
-    assert enumerate_feasible(A, b, var_bound=var_bound).points == expect
+def test_enumerate_fixed_cases(A, b, expect):
+    assert _brute_points(A, b) == list(expect)
+    assert enumerate_feasible(A, b).points == expect
 
 
 def test_enumerate_cap_is_the_point_count():
@@ -608,11 +614,19 @@ def test_lp_gives_the_witness_of_a_non_vertex():
         assert sum(w * q[i] for w, q in zip(lam, square)) == 1
 
 
+def _points(inst):
+    return enumerate_feasible(inst.A, inst.b)
+
+
+def _hull(inst):
+    return vertex_set(_points(inst))
+
+
 def test_brute_force_optimum_demo():
     red = reduce(
         IPInstance.from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1])
     )
-    res = brute_force_optimum(red.inner)
+    res = brute_force_optimum(red.inner, _points(red.inner))
     assert res.status == "optimal"
     assert res.value == 1
     assert res.argmin == ((0, 1, 0),)
@@ -620,14 +634,14 @@ def test_brute_force_optimum_demo():
 
 def test_brute_force_optimum_reports_all_argmins():
     inst = IPInstance.from_rows([[1, 1]], [2], [0, 0])
-    res = brute_force_optimum(inst)
+    res = brute_force_optimum(inst, _points(inst))
     assert res.value == 0
     assert res.argmin == ((0, 2), (1, 1), (2, 0))
 
 
 def test_brute_force_optimum_infeasible():
     inst = IPInstance.from_rows([[2]], [3], [1])
-    res = brute_force_optimum(inst)
+    res = brute_force_optimum(inst, _points(inst))
     assert res.status == "infeasible"
     assert res.value is None and res.argmin == ()
 
@@ -671,26 +685,43 @@ def test_rhs_vertex_needs_no_lp(monkeypatch):
 
 def test_vertex_preservation_demo():
     inst = IPInstance.from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1])
-    out = check_vertex_preservation(inst)
+    out = check_vertex_preservation(inst, _hull(inst))
     assert out.holds and not out.vacuous
 
 
 def test_vertex_preservation_vacuous_on_empty_set():
     inst = IPInstance.from_rows([[1, 0], [0, 2]], [1, 1], [0, 0])
-    out = check_vertex_preservation(inst)
+    out = check_vertex_preservation(inst, _hull(inst))
     assert out.holds and out.vacuous
+
+
+@pytest.mark.parametrize("dim", [0, 2])
+def test_vertex_set_of_an_empty_set_is_empty(dim):
+    empty = PointSet(dim, ())
+    assert vertex_set(empty) == VertexReport(empty, ())
+
+
+def test_checks_on_an_empty_set():
+    # every check takes the set it checks; an empty one is vacuous
+    inst = IPInstance.from_rows([[1, 0], [0, 2]], [1, 1], [3, -1])
+    empty = PointSet(2, ())
+    assert _points(inst) == empty
+    report = vertex_set(empty)
+    assert check_vertex_preservation(inst, report) == CheckOutcome(True, vacuous=True)
+    assert check_rhs_lower_bound(inst, report) == CheckOutcome(True, vacuous=True)
+    assert brute_force_optimum(inst, empty) == BruteForceResult("infeasible", None, ())
 
 
 def test_rhs_lower_bound_demo():
     inst = IPInstance.from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1])
-    out = check_rhs_lower_bound(inst)
+    out = check_rhs_lower_bound(inst, _hull(inst))
     assert out.holds and not out.vacuous
 
 
 def test_rhs_lower_bound_tight_case():
     # the bound is attained at the vertex (1, 0, 1): product 4 - 1 = rhs 3
     inst = IPInstance.from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], [0, 0, 0])
-    out = check_rhs_lower_bound(inst)
+    out = check_rhs_lower_bound(inst, _hull(inst))
     assert out.holds
 
 
@@ -720,8 +751,9 @@ def test_checks_hold_on_random_instances():
             A[rng.randrange(m)][j] = max(1, A[rng.randrange(m)][j])
         b = [rng.randint(0, 4) for _ in range(m)]
         inst = IPInstance.from_rows(A, b, [0] * n)
-        pre = check_vertex_preservation(inst)
-        low = check_rhs_lower_bound(inst)
+        hull = _hull(inst)
+        pre = check_vertex_preservation(inst, hull)
+        low = check_rhs_lower_bound(inst, hull)
         assert pre.holds and low.holds
         if not pre.vacuous:
             nonvacuous += 1
