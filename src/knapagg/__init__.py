@@ -12,9 +12,6 @@ from .aggregation import (
     aggregate,
     aggregation_vector,
     build_knapsack,
-    nonneg_cost_shift,
-    objective_upper_bound,
-    penalty_weight,
     vertex_lower_bound,
 )
 from .errors import (
@@ -103,10 +100,7 @@ __all__ = [
     "enumerate_feasible",
     "evaluate",
     "instance_digest",
-    "nonneg_cost_shift",
-    "objective_upper_bound",
     "parse_instance",
-    "penalty_weight",
     "reduce",
     "serialize_instance",
     "solve_knapsack",

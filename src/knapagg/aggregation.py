@@ -10,9 +10,9 @@ The right-hand side telescopes: a0 = prod(b_i + 1) - 1.
 To recover the original optimum from the single-row relaxation the objective
 is shifted by a penalty that charges every unit of every variable: with L an
 upper bound on the optimal value, k the smallest shift making the cost vector
-nonnegative against the column sums, and H = L + k * sum(b) + 1, minimizing
-(c + H * colsum)^T x over the aggregated set lands on a minimum-cost point of
-the original program whenever one exists.
+nonnegative against the column sums, and H = L + k * (sum(b) + 1) + 1,
+minimizing (c + H * colsum)^T x over the aggregated set lands on a
+minimum-cost point of the original program whenever one exists.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .instance import BoxBounds, IPInstance, Reduction, SENSE_MIN, box_bounds, reduce
+from .instance import IPInstance, Reduction, SENSE_MIN, box_bounds, reduce
 
 
 def aggregation_vector(b: Sequence[int]) -> tuple[int, ...]:
@@ -54,54 +54,6 @@ def aggregate(
     a = tuple(sum(fi * aij for fi, aij in zip(f, column)) for column in zip(*A))
     a0 = sum(fi * bi for fi, bi in zip(f, b))
     return a, a0
-
-
-def nonneg_cost_shift(c: Sequence[int], A: Sequence[Sequence[int]]) -> int:
-    """Smallest integer k >= 0 with c_j + k * colsum_j >= 0 for every column.
-
-    Requires every column sum positive (guaranteed after preprocessing).
-    """
-    k = 0
-    for j, cj in enumerate(c):
-        if cj >= 0:
-            continue
-        s = sum(row[j] for row in A)
-        if s <= 0:
-            raise ValidationError(f"column {j} has nonpositive sum; preprocess first")
-        # ceil(-cj / s) without floats; cj < 0 here
-        k = max(k, (-cj + s - 1) // s)
-    return k
-
-
-def objective_upper_bound(red: Reduction, box: BoxBounds) -> int:
-    """Upper bound on the optimal value: positive costs times box bounds.
-
-    Every feasible point sits inside the box, so sum over j of
-    max(0, c_j) * upper_j dominates c^T x there.  Requires a finite box.
-    """
-    if not box.finite:
-        raise ValidationError("objective bound needs finite box bounds")
-    c = red.inner.c
-    if len(c) != len(box.upper):
-        raise ValidationError("box bounds do not match the reduced instance")
-    return sum(cj * uj for cj, uj in zip(c, box.upper) if cj > 0)
-
-
-def penalty_weight(upper_bound: int, shift: int, b: Sequence[int]) -> int:
-    """Penalty H = upper_bound + shift * (sum(b) + 1) + 1.
-
-    The margin is sized so the penalized objective always prefers a point
-    satisfying the full row system over one that merely satisfies the
-    aggregated row.  A point of the surrogate that misses the right-hand
-    side produces row mass of at least sum(b) + 1 (the right-hand side is
-    the strict row-mass minimizer when its entries are positive), and each
-    unit of row mass can hide up to `shift` units of negative raw cost, so
-    the swing available to such a point is shift * (sum(b) + 1) plus the
-    upper_bound achievable by a genuinely feasible point.  One more unit
-    makes the separation strict.  The value always exceeds shift, which
-    keeps the penalized costs nonnegative.
-    """
-    return upper_bound + shift * (sum(b) + 1) + 1
 
 
 def vertex_lower_bound(x0: Sequence[int]) -> int:
@@ -157,6 +109,23 @@ def build_knapsack(inst: IPInstance) -> KnapsackInstance:
 
     Reduces the instance, aggregates the kept rows, and penalizes the
     objective so the surrogate's minimizer decides the original program.
+    After the reduction every kept column has a positive entry, so its box
+    bound u_j is finite and its column sum s_j positive.  Then
+
+    - L = sum of c_j * u_j over c_j > 0 bounds c^T x at every feasible
+      point, since each one lies in the box;
+    - k, the smallest integer >= 0 with c_j + k * s_j >= 0 for every j, is
+      the most negative raw cost one unit of row mass can carry;
+    - H = L + k * (sum(b) + 1) + 1 makes the penalized objective prefer a
+      point satisfying the full row system over one that merely satisfies
+      the aggregated row.  A point of the surrogate that misses b has row
+      mass at least sum(b) + 1 (b is the strict row-mass minimizer when its
+      entries are positive), and each unit of it can hide up to k units of
+      negative raw cost, so such a point can swing k * (sum(b) + 1) below
+      the L a feasible point may reach; one more unit makes the separation
+      strict.  H > k, even when b is all zero, so every penalized cost
+      c_j + H * s_j is nonnegative.
+
     The costs of dropped zero columns play no part: whether a negative one
     makes the program unbounded depends on the kept rows being feasible,
     which only the solver decides.
@@ -166,10 +135,11 @@ def build_knapsack(inst: IPInstance) -> KnapsackInstance:
     red = reduce(inst)
     inner = red.inner
     weights, rhs = aggregate(inner.A, inner.b)
-    bound = objective_upper_bound(red, box_bounds(inner))
-    shift = nonneg_cost_shift(inner.c, inner.A)
-    penalty = penalty_weight(bound, shift, inner.b)
     col_sums = tuple(sum(column) for column in zip(*inner.A))
+    bound = sum(cj * uj for cj, uj in zip(inner.c, box_bounds(inner).upper) if cj > 0)
+    # ceil(-c_j / s_j) = -(c_j // s_j), without floats
+    shift = max((-(cj // sj) for cj, sj in zip(inner.c, col_sums) if cj < 0), default=0)
+    penalty = bound + shift * (sum(inner.b) + 1) + 1
     costs = tuple(cj + penalty * sj for cj, sj in zip(inner.c, col_sums))
     return KnapsackInstance(
         weights=weights,

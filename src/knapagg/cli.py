@@ -69,7 +69,6 @@ EXIT_FALSIFIED = 5
 
 _STATUS_EXIT = {
     "ok": EXIT_OK,
-    "optimal": EXIT_OK,
     "infeasible": EXIT_INFEASIBLE,
     "unbounded": EXIT_UNBOUNDED,
     "budget_exceeded": EXIT_BUDGET,
@@ -77,6 +76,13 @@ _STATUS_EXIT = {
     "input_error": EXIT_INPUT,
     "falsified": EXIT_FALSIFIED,
 }
+
+# the report status of each error a subcommand may raise, subclasses included
+_ERROR_STATUS = (
+    (UnboundedProblem, "unbounded"),
+    ((CapExceeded, IterationLimit), "cap_exceeded"),
+    ((ParseError, ValidationError), "input_error"),
+)
 
 
 class UsageError(KnapaggError):
@@ -157,14 +163,12 @@ def _cmd_aggregate(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, st
     core = canonicalize_minimize(inst)
     kp = build_knapsack(core)
     red = kp.reduced
-    product = 1
-    for bi in inst.b:
-        product *= bi + 1
     result = {
         "aggregating_vector": list(aggregation_vector(red.inner.b)),
         "aggregated_row": list(kp.weights),
         "aggregated_rhs": kp.rhs,
-        "rhs_plus_one_product": product,
+        # reduce drops only rows with b_i = 0, each a factor of 1
+        "rhs_plus_one_product": kp.rhs + 1,
         "rhs_bit_length": kp.rhs.bit_length(),
         "columns_kept": list(kp.column_map),
         "columns_dropped": [
@@ -414,28 +418,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _emit(report, "input_error", started)
     try:
         inst = parse_instance(text)
-    except (ParseError, ValidationError) as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return _emit(report, "input_error", started)
-    report["instance"] = {
-        "digest": instance_digest(inst),
-        "rows": inst.m,
-        "cols": inst.n,
-        "sense": inst.sense,
-    }
-    try:
+        report["instance"] = {
+            "digest": instance_digest(inst),
+            "rows": inst.m,
+            "cols": inst.n,
+            "sense": inst.sense,
+        }
         result, status = _HANDLERS[args.cmd](inst, args)
         report["result"] = result
         return _emit(report, status, started)
-    except UnboundedProblem as exc:
-        report["error"] = {"type": "UnboundedProblem", "message": str(exc)}
-        return _emit(report, "unbounded", started)
-    except (CapExceeded, IterationLimit) as exc:
+    except KnapaggError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return _emit(report, "cap_exceeded", started)
-    except (ParseError, ValidationError) as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return _emit(report, "input_error", started)
+        status = next(s for kind, s in _ERROR_STATUS if isinstance(exc, kind))
+        return _emit(report, status, started)
     except ValueError as exc:
         # Python writes no int past sys.get_int_max_str_digits() in decimal,
         # and a value derived from inputs within that limit can outgrow it;

@@ -110,10 +110,6 @@ class BoxBounds:
 
     upper: tuple[int | None, ...]
 
-    @property
-    def finite(self) -> bool:
-        return all(u is not None for u in self.upper)
-
 
 _PINNED = "pinned to zero by a zero right-hand-side row"
 _ZERO_COLUMN = "zero in every row, variable fixed to 0"
@@ -214,7 +210,8 @@ def parse_instance(text: str | bytes) -> IPInstance:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or a bare JSON integer past Python's digit limit
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")

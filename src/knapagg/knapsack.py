@@ -253,6 +253,14 @@ def _reconstruct(
     return tuple(x)
 
 
+def _decimal(v: int) -> str:
+    """v in decimal, or its bit length past sys.get_int_max_str_digits()."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"<{v.bit_length()}-bit integer>"
+
+
 def solve_knapsack(
     kp: KnapsackInstance, budget: SolverBudget | None = None
 ) -> KnapsackSolution:
@@ -273,8 +281,8 @@ def solve_knapsack(
             None,
             BUDGET_EXCEEDED,
             detail=(
-                f"aggregated rhs {kp.rhs} = prod(b_i + 1) - 1 exceeds "
-                f"max_rhs {budget.max_rhs}"
+                f"aggregated rhs {_decimal(kp.rhs)} = prod(b_i + 1) - 1 exceeds "
+                f"max_rhs {_decimal(budget.max_rhs)}"
             ),
         )
     if cells > budget.max_cells:
@@ -283,8 +291,9 @@ def solve_knapsack(
             None,
             BUDGET_EXCEEDED,
             detail=(
-                f"table of {n} x {kp.rhs + 1} = {cells} cells exceeds max_cells "
-                f"{budget.max_cells} (aggregated rhs is prod(b_i + 1) - 1)"
+                f"table of {n} x {_decimal(kp.rhs + 1)} = {_decimal(cells)} cells "
+                f"exceeds max_cells {_decimal(budget.max_cells)} "
+                "(aggregated rhs is prod(b_i + 1) - 1)"
             ),
         )
     inf = _unreachable(kp.costs, kp.rhs)
@@ -329,7 +338,8 @@ def solve_original(
         )
     assert sol.x is not None
     lifted = kp.reduced.lift(sol.x)
-    ev = evaluate(core, lifted)
+    # the residual does not depend on c, and inst.c has the original sense
+    ev = evaluate(inst, lifted)
     if not ev.feasible:
         return Solution(
             None,
@@ -347,5 +357,4 @@ def solve_original(
             raise UnboundedProblem(
                 f"column {j} is identically zero with negative cost {core.c[j]}"
             )
-    objective = sum(inst.c[j] * lifted[j] for j in range(inst.n))
-    return Solution(lifted, objective, OPTIMAL, knapsack=kp)
+    return Solution(lifted, ev.objective, OPTIMAL, knapsack=kp)

@@ -104,13 +104,17 @@ def enumerate_feasible(
     The search assigns variables in ascending order of their bound and
     prunes any branch whose remaining columns cannot touch a row with
     residual left.  The two widest-ranging variables, x_j and x_k, come
-    last and are solved together: on the first row p where column k is
-    positive, A_pj x_j + A_pk x_k = r_p is a two-variable linear
-    Diophantine equation.  With g = gcd(A_pj, A_pk) it has no solution
-    unless g divides r_p, and otherwise x_j runs over the one residue class
-    modulo A_pk / g that the modular inverse of A_pj / g picks out (extended
-    Euclid), x_k follows by exact division, and only the other rows remain
-    to check.  A single column is solved by division.
+    last and are solved together from the first row p where column k is
+    positive.  If some row q has (A_qj, A_qk) not a multiple of (A_pj,
+    A_pk), rows p and q fix x_j and x_k by Cramer's rule: one point when
+    both divisions are exact and nonnegative, none otherwise.  If every
+    row is such a multiple, A_pj x_j + A_pk x_k = r_p is a two-variable
+    linear Diophantine equation.  With g = gcd(A_pj, A_pk) it has no
+    solution unless g divides r_p, and otherwise x_j runs over the one
+    residue class modulo A_pk / g that the modular inverse of A_pj / g
+    picks out (extended Euclid) and x_k follows by exact division.  Either
+    way only the other rows remain to check.  A single column is solved
+    by division.
     """
     m = len(A)
     if m == 0:
@@ -164,12 +168,17 @@ def enumerate_feasible(
     cj, ck = cols[j], cols[k]
     p = next(i for i in range(m) if ck[i] > 0)
     ajp, akp = cj[p], ck[p]
-    g = gcd(ajp, akp)
-    step = akp // g
-    inv = pow(ajp // g, -1, step)
-    # rows besides p that x_j or x_k touch; live[n - 2] already requires a
-    # zero residual on every row that neither touches
-    rest = [(i, cj[i], ck[i]) for i in range(m) if i != p and (cj[i] or ck[i])]
+    q = next((i for i in range(m) if cj[i] * akp != ck[i] * ajp), -1)
+    if q >= 0:
+        ajq, akq = cj[q], ck[q]
+        det = ajp * akq - akp * ajq
+    else:
+        g = gcd(ajp, akp)
+        step = akp // g
+        inv = pow(ajp // g, -1, step)
+    # rows besides p and q that x_j or x_k touch; live[n - 2] already
+    # requires a zero residual on every row that neither touches
+    rest = [(i, cj[i], ck[i]) for i in range(m) if i not in (p, q) and (cj[i] or ck[i])]
 
     def walk(d: int) -> None:
         alive = live[d]
@@ -184,9 +193,18 @@ def enumerate_feasible(
                 hi = min(hi, resid[i] // col[i])
         if d == n - 2:
             rp = resid[p]
-            if rp % g:
+            if q >= 0:
+                rq = resid[q]
+                v, rv = divmod(rp * akq - akp * rq, det)
+                w, rw = divmod(ajp * rq - rp * ajq, det)
+                if rv or rw or v < 0 or w < 0:
+                    return
+                values: Sequence[int] = (v,)
+            elif rp % g:
                 return
-            for v in range(rp // g * inv % step, hi + 1, step):
+            else:
+                values = range(rp // g * inv % step, hi + 1, step)
+            for v in values:
                 w = (rp - v * ajp) // akp
                 for i, aj, ak in rest:
                     if resid[i] != v * aj + w * ak:
@@ -231,8 +249,11 @@ def check_convex_combination(
     cross-multiplies.  Bland's smallest-index rule everywhere, so no
     cycling; artificial columns never re-enter, which cannot change
     feasibility of the phase-1 optimum.  The weights are returned as exact
-    Fractions xn_i / d.  Raises IterationLimit past pivot_cap.
+    Fractions xn_i / d.  Raises IterationLimit past pivot_cap, and
+    ValidationError before any work when pivot_cap is negative.
     """
+    if pivot_cap < 0:
+        raise ValidationError("pivot cap must be nonnegative")
     pts = [tuple(p) for p in others]
     r = len(pts)
     dim = len(x0)
@@ -374,7 +395,10 @@ def vertex_set(
     membership in the hull of the full set equals membership in the hull
     of its vertices.  A vertex proven by its order uses no pivots, so
     IterationLimit is raised only when an LP actually runs past pivot_cap.
+    A negative pivot_cap raises ValidationError before any work starts.
     """
+    if pivot_cap < 0:
+        raise ValidationError("pivot cap must be nonnegative")
     pts = points.points
     index = {p: i for i, p in enumerate(pts)}
     ranked = sorted(pts)
@@ -451,8 +475,10 @@ def check_rhs_vertex(
     vertex property itself survives: b is the lexicographically largest
     point of the set when coordinates are compared from the last one down,
     hence always an extreme point, and the signed-order test proves it so
-    without the LP.
+    without the LP.  A negative pivot_cap raises ValidationError first.
     """
+    if pivot_cap < 0:
+        raise ValidationError("pivot cap must be nonnegative")
     bt = tuple(int(v) for v in b)
     f = aggregation_vector(bt)
     a0 = sum(fi * bi for fi, bi in zip(f, bt))
@@ -478,8 +504,11 @@ def check_vertex_preservation(
     report is vertex_set of the original feasible set.  Enumerates the
     aggregated feasible set (the instance must be free of zero columns) and
     proves each original vertex lies outside the hull of the other
-    aggregated points.  An empty feasible set reports vacuous success.
+    aggregated points.  An empty feasible set reports vacuous success.  A
+    negative pivot_cap raises ValidationError first.
     """
+    if pivot_cap < 0:
+        raise ValidationError("pivot cap must be nonnegative")
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
     a, a0 = aggregate(inst.A, inst.b)

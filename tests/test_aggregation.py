@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,9 +12,6 @@ from knapagg import (
     aggregation_vector,
     box_bounds,
     build_knapsack,
-    nonneg_cost_shift,
-    objective_upper_bound,
-    penalty_weight,
     reduce,
     vertex_lower_bound,
 )
@@ -88,11 +86,17 @@ def test_aggregated_rhs_is_permutation_invariant():
     assert changed > 0  # the row itself genuinely depends on the order
 
 
+def _kp(A, b, c):
+    return build_knapsack(IPInstance.from_rows(A, b, c))
+
+
 def test_nonneg_cost_shift():
-    assert nonneg_cost_shift((-3, 1), [[2, 1]]) == 2
-    assert nonneg_cost_shift((0, 4), [[1, 1]]) == 0
-    assert nonneg_cost_shift((-4,), [[2]]) == 2
-    assert nonneg_cost_shift((-5,), [[2]]) == 3  # ceil, not floor
+    # one positive b_i per row keeps every row and column, so the column
+    # sums are the ones written here
+    assert _kp([[2, 1]], [1], (-3, 1)).shift == 2
+    assert _kp([[1, 1]], [1], (0, 4)).shift == 0
+    assert _kp([[2]], [1], (-4,)).shift == 2
+    assert _kp([[2]], [1], (-5,)).shift == 3  # ceil, not floor
 
 
 def test_nonneg_cost_shift_is_minimal():
@@ -104,25 +108,19 @@ def test_nonneg_cost_shift_is_minimal():
         for j in range(n):
             A[rng.randrange(m)][j] = max(1, A[rng.randrange(m)][j])
         c = [rng.randint(-8, 8) for _ in range(n)]
-        k = nonneg_cost_shift(c, A)
+        kp = _kp(A, [1] * m, c)
+        assert kp.column_map == tuple(range(n))
+        k = kp.shift
         sums = [sum(row[j] for row in A) for j in range(n)]
         assert all(cj + k * sj >= 0 for cj, sj in zip(c, sums))
         if k > 0:
             assert any(cj + (k - 1) * sj < 0 for cj, sj in zip(c, sums))
 
 
-def test_nonneg_cost_shift_needs_positive_columns():
-    with pytest.raises(ValidationError):
-        nonneg_cost_shift((-1,), [[0]])
-
-
 def test_objective_upper_bound():
-    red = _reduced([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1])
-    assert objective_upper_bound(red, box_bounds(red.inner)) == 3
-    red2 = _reduced([[1, 1], [1, 2]], [2, 3], [2, -1])
-    assert objective_upper_bound(red2, box_bounds(red2.inner)) == 4
-    red3 = _reduced([[1, 1]], [5], [-2, -3])
-    assert objective_upper_bound(red3, box_bounds(red3.inner)) == 0
+    assert _kp([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1]).upper_bound == 3
+    assert _kp([[1, 1], [1, 2]], [2, 3], [2, -1]).upper_bound == 4
+    assert _kp([[1, 1]], [5], [-2, -3]).upper_bound == 0
 
 
 def test_objective_upper_bound_dominates_every_feasible_value():
@@ -135,13 +133,12 @@ def test_objective_upper_bound_dominates_every_feasible_value():
             A[rng.randrange(m)][j] = max(1, A[rng.randrange(m)][j])
         b = [rng.randint(0, 5) for _ in range(m)]
         c = [rng.randint(-5, 5) for _ in range(n)]
-        red = _reduced(A, b, c)
-        bound = objective_upper_bound(red, box_bounds(red.inner))
-        upper = box_bounds(red.inner).upper
-        stack = [()]
-        for u in upper:
-            stack = [p + (v,) for p in stack for v in range(u + 1)]
-        for x in map(red.lift, stack):
+        # every column has a positive entry, so the box of the given
+        # instance is finite; a variable that reduce drops is 0 wherever
+        # Ax = b holds
+        bound = _kp(A, b, c).upper_bound
+        upper = box_bounds(IPInstance.from_rows(A, b, c)).upper
+        for x in product(*(range(u + 1) for u in upper)):
             if all(
                 sum(A[i][j] * x[j] for j in range(n)) == b[i] for i in range(m)
             ):
@@ -149,13 +146,22 @@ def test_objective_upper_bound_dominates_every_feasible_value():
 
 
 def test_penalty_weight():
-    assert penalty_weight(4, 2, (2, 3)) == 4 + 2 * 6 + 1
-    assert penalty_weight(3, 0, (1, 1)) == 4
+    # H = L + k * (sum(b) + 1) + 1: L = 4, k = 2, sum(b) = 5
+    kp = _kp([[1, 1], [1, 2]], [2, 3], [2, -6])
+    assert (kp.upper_bound, kp.shift) == (4, 2)
+    assert kp.penalty == 4 + 2 * 6 + 1
+    assert _kp([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1]).penalty == 4
     # all-zero rhs with a needed shift: still strictly above the shift
-    assert penalty_weight(0, 5, (0, 0)) == 6
+    kp = _kp([[1], [1]], [0, 0], [-10])
+    assert (kp.upper_bound, kp.shift, kp.penalty) == (0, 5, 6)
     # always exceeds the shift, so penalized costs stay nonnegative
-    for bound, shift, b in [(0, 0, (0,)), (0, 7, (0, 0)), (2, 3, (1, 4))]:
-        assert penalty_weight(bound, shift, b) >= shift + 1
+    for A, b, c in [
+        ([[1]], [0], [0]),
+        ([[1], [1]], [0, 0], [-14]),
+        ([[1, 1], [0, 1]], [1, 4], [2, -6]),
+    ]:
+        kp = _kp(A, b, c)
+        assert kp.penalty >= kp.shift + 1
 
 
 def test_build_knapsack_zero_rhs_negative_cost():

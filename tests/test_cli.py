@@ -142,6 +142,15 @@ def test_integer_past_the_digit_limit_exits_as_input_error(tmp_path, capsys):
     assert rep["error"]["message"].startswith(f"b[0]: {digits} digits")
 
 
+def test_bare_json_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"A": [[' + "1" * 5000 + ']], "b": ["1"], "c": ["1"]}')
+    code, rep = _run(capsys, ["solve", str(path)])
+    assert code == 4 and rep["status"] == "input_error"
+    assert rep["error"]["type"] == "ParseError"
+    assert rep["error"]["message"].startswith("not valid JSON")
+
+
 def _digit_limit():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
@@ -723,6 +732,14 @@ def test_oracle_pivot_cap_one_passes_when_every_vertex_is_lex_extreme(
     monkeypatch.setattr(knapagg.oracle, "_lex_extreme", _never_lex_extreme)
     code, rep = _run(capsys, ["oracle", path, "--pivot-cap", "1"])
     assert code == 3 and rep["status"] == "cap_exceeded"
+
+
+def test_oracle_negative_pivot_cap_is_input_error(tmp_path, capsys):
+    # no LP runs on the demo, so the cap must be checked before any work
+    code, rep = _run(capsys, ["oracle", _write(tmp_path, DEMO), "--pivot-cap", "-1"])
+    assert code == 4 and rep["status"] == "input_error"
+    assert rep["error"]["type"] == "ValidationError"
+    assert "result" not in rep
 
 
 def test_python_m_knapagg_cli_runs_main(tmp_path):

@@ -83,6 +83,19 @@ def test_dp_cell_budget():
     assert "3 x 101 = 303 cells" in sol.detail
 
 
+def test_budget_message_names_an_rhs_past_the_digit_limit_by_bits():
+    # the aggregated rhs (10**2200 + 1)**2 - 1 has 4,401 digits, past the
+    # default limit of 4,300 on decimal integer strings
+    big = 10**2200
+    inst = IPInstance.from_rows([[1, 0], [0, 1]], [big, big], [1, 1])
+    sol = solve_original(inst)
+    assert sol.status == BUDGET_EXCEEDED
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and limit < 4401:
+        rhs_bits = ((big + 1) ** 2 - 1).bit_length()
+        assert f"aggregated rhs <{rhs_bits}-bit integer> = prod(b_i + 1) - 1" in sol.detail
+
+
 def test_budget_validation():
     with pytest.raises(ValidationError):
         SolverBudget(max_rhs=0)

@@ -175,6 +175,8 @@ _FIXED_CASES = [
     (((3,),), (9,), ((3,),)),
     (((3,),), (10,), ()),
     (((2, 3), (1, 1)), (12, 5), ((3, 2),)),
+    # the last two columns, 2 and 0, share no row: rows 0 and 1 fix them
+    (((1, 1, 0), (0, 1, 1)), (5, 2), ((3, 2, 0), (4, 1, 1), (5, 0, 2))),
 ]
 
 
@@ -197,6 +199,20 @@ def test_enumerate_cap_is_the_point_count():
     assert len(enumerate_feasible(A, b, cap=count)) == count
     with pytest.raises(CapExceeded):
         enumerate_feasible(A, b, cap=count - 1)
+
+
+@pytest.mark.parametrize(
+    "A, b, point",
+    [
+        # column 0 is zero on the pivot row, so a residue-class scan would
+        # step through every value of x_0
+        (((1, 0), (0, 1)), (10**12, 10**12), (10**12, 10**12)),
+        # both columns touch both rows, with gcd 1 on the pivot row
+        (((1, 1), (1, 2)), (10**12, 10**12 + 5), (10**12 - 5, 5)),
+    ],
+)
+def test_enumerate_tail_solves_two_rows_in_one_step(A, b, point):
+    assert enumerate_feasible(A, b).points == (point,)
 
 
 def test_point_set_validation():
@@ -239,6 +255,27 @@ def test_convex_combination_exact_point_match():
 def test_convex_combination_is_deterministic():
     args = ((3, 3), [(0, 0), (6, 6), (6, 0), (0, 6), (3, 3)])
     assert check_convex_combination(*args) == check_convex_combination(*args)
+
+
+def test_negative_pivot_cap_is_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(knapagg.oracle, "_lex_extreme", no_work)
+    pts = PointSet(1, ((0,), (1,), (2,)))
+    with pytest.raises(ValidationError):
+        vertex_set(pts, pivot_cap=-1)
+    with pytest.raises(ValidationError):
+        check_convex_combination((1,), [(0,), (2,)], pivot_cap=-1)
+    with pytest.raises(ValidationError):
+        check_rhs_vertex((1, 1), pivot_cap=-1)
+    inst = IPInstance.from_rows([[1, 1]], [2], [0, 0])
+    with pytest.raises(ValidationError):
+        check_vertex_preservation(inst, VertexReport(pts, ()), pivot_cap=-1)
+    # zero pivots stays valid: the midpoint pass decides (1,) without an LP
+    monkeypatch.undo()
+    assert check_convex_combination((3,), [], pivot_cap=0) is None
+    assert vertex_set(pts, pivot_cap=0).vertices == ((0,), (2,))
 
 
 def test_convex_combination_dimension_check():
