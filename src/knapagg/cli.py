@@ -51,7 +51,7 @@ from .oracle import (
     DEFAULT_PIVOT_CAP,
     DEFAULT_POINT_CAP,
     PointSet,
-    _convex_weights,
+    _witness,
     brute_force_optimum,
     check_rhs_lower_bound,
     check_rhs_vertex,
@@ -102,7 +102,8 @@ def _render(value: Any, newline_indent: str) -> str:
     decimal strings, a Fraction as "p/q", dict keys as str(k) sorted, lists
     and tuples alike.  newline_indent is the newline and indentation the
     value's own line starts with.  Any other type, a float above all, raises
-    TypeError, so no inexact number reaches a report.
+    TypeError, so no inexact number reaches a report, and a number too long
+    to write in decimal raises CapExceeded.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -112,10 +113,19 @@ def _render(value: Any, newline_indent: str) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return '"%d"' % value
-    if isinstance(value, Fraction):
-        return '"%d/%d"' % (value.numerator, value.denominator)
+    try:
+        if isinstance(value, int):
+            return '"%d"' % value
+        if isinstance(value, Fraction):
+            return '"%d/%d"' % (value.numerator, value.denominator)
+    except ValueError:
+        # Python writes no int past sys.get_int_max_str_digits() in decimal,
+        # and a value derived from inputs within that limit can outgrow it;
+        # the report is refused, the process-wide limit left as it is
+        raise CapExceeded(
+            "a value derived from the input is past the "
+            f"{sys.get_int_max_str_digits()}-digit limit for decimal integer strings"
+        ) from None
     inner = newline_indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -214,54 +224,40 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     core = canonicalize_minimize(inst)
     # the checks run on the reduced instance, the one solve solves
     inner = reduce(core).inner
-    checks: dict[str, Any] = {}
-    falsifications: list[dict] = []
-
-    checks["rhs_vertex"] = check_rhs_vertex(inst.b, cap)
-    if not checks["rhs_vertex"]:
-        falsifications.append({"check": "rhs_vertex", "rhs": list(inst.b)})
-
+    rhs_vertex = check_rhs_vertex(inst.b, cap)
     # one enumeration and one hull of the original set serve every check
     hull = vertex_set(enumerate_feasible(inner.A, inner.b, cap))
     preserved = check_vertex_preservation(inner, hull, cap)
-    checks["vertex_preservation"] = {
-        "holds": preserved.holds,
-        "vacuous": preserved.vacuous,
-    }
-    if not preserved.holds:
-        falsifications.append(
-            {"check": "vertex_preservation", "data": preserved.counterexample}
-        )
-
     lower = check_rhs_lower_bound(inner, hull)
-    checks["rhs_lower_bound"] = {"holds": lower.holds, "vacuous": lower.vacuous}
-    if not lower.holds:
-        falsifications.append(
-            {"check": "rhs_lower_bound", "data": lower.counterexample}
-        )
-
     sol = solve_original(core)
     oracle = brute_force_optimum(inner, hull.points)
     agree = (
-        sol.status == oracle.status == "optimal" and sol.objective == oracle.value
-    ) or (sol.status == oracle.status == "infeasible")
-    checks["solver_matches_oracle"] = {
+        None  # a solve refused for its budget decides nothing
+        if sol.status == BUDGET_EXCEEDED
+        else sol.status == oracle.status and sol.objective == oracle.value
+    )
+    solver = {
         "holds": agree,
         "solver_status": sol.status,
         "solver_objective": sol.objective,
         "oracle_status": oracle.status,
         "oracle_objective": oracle.value,
     }
-    if not agree:
-        falsifications.append(
-            {
-                "check": "solver_matches_oracle",
-                "data": checks["solver_matches_oracle"],
-            }
-        )
-
-    result = {"checks": checks, "falsifications": falsifications}
-    return result, ("falsified" if falsifications else "ok")
+    # name, report entry, holds (None: undecided), falsification key and data
+    table = [("rhs_vertex", rhs_vertex, rhs_vertex, "rhs", list(inst.b))]
+    for name, o in (("vertex_preservation", preserved), ("rhs_lower_bound", lower)):
+        entry = {"holds": o.holds, "vacuous": o.vacuous}
+        table.append((name, entry, o.holds, "data", o.counterexample))
+    table.append(("solver_matches_oracle", solver, agree, "data", solver))
+    checks = {name: entry for name, entry, *_ in table}
+    falsifications = [
+        {"check": name, key: data} for name, _, holds, key, data in table if holds is False
+    ]
+    if falsifications:
+        status = "falsified"
+    else:
+        status = "ok" if agree is not None else "budget_exceeded"
+    return {"checks": checks, "falsifications": falsifications}, status
 
 
 def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
@@ -297,16 +293,11 @@ def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
             return base, "input_error"
     sub_point = tuple(point[j] for j in red.column_map)
     pts = enumerate_feasible(red.inner.A, red.inner.b, args.cap)
-    others = [q for q in pts.points if q != sub_point]
-    lam = _convex_weights(sub_point, others, DEFAULT_PIVOT_CAP)
-    if lam is not None:
+    cited = _witness(sub_point, pts.points, DEFAULT_PIVOT_CAP)
+    if cited is not None:
         base["is_vertex"] = False
         base["witness"] = {
-            "combination": [
-                {"point": list(others[t]), "weight": lam[t]}
-                for t in range(len(others))
-                if lam[t]
-            ],
+            "combination": [{"point": q, "weight": w} for q, w in cited],
             "coordinates": "kept columns only",
         }
         base["detail"] = "point is a convex combination of other feasible points"
@@ -428,22 +419,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         report["result"] = result
         return _emit(report, status, started)
     except KnapaggError as exc:
+        # a report that _render refuses has its result dropped
+        report.pop("result", None)
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         status = next(s for kind, s in _ERROR_STATUS if isinstance(exc, kind))
         return _emit(report, status, started)
-    except ValueError as exc:
-        # Python writes no int past sys.get_int_max_str_digits() in decimal,
-        # and a value derived from inputs within that limit can outgrow it;
-        # the report is refused, the process-wide limit left as it is
-        if "integer string conversion" not in str(exc):
-            raise
-        report.pop("result", None)
-        report["error"] = {
-            "type": "CapExceeded",
-            "message": "a value derived from the input is past the "
-            f"{sys.get_int_max_str_digits()}-digit limit for decimal integer strings",
-        }
-        return _emit(report, "cap_exceeded", started)
 
 
 def console() -> None:

@@ -365,13 +365,23 @@ def _lex_extreme(
     return tuple(order)
 
 
-def _convex_weights(
-    p: Point, others: Sequence[Point], pivot_cap: int
-) -> tuple[Fraction, ...] | None:
-    """check_convex_combination, skipped when a signed order proves p a vertex."""
+def _witness(
+    p: Point, pool: Sequence[Point], pivot_cap: int
+) -> tuple[tuple[Point, Fraction], ...] | None:
+    """None if p is a vertex of conv(pool), else p's (point, weight) pairs.
+
+    p itself is dropped from pool first.  A signed order (_lex_extreme)
+    proves a vertex by integer comparisons alone; any other point goes to
+    check_convex_combination, whose positive weights are cited with their
+    points and whose zero weights are dropped.
+    """
+    others = [q for q in pool if q != p]
     if _lex_extreme(p, others) is not None:
         return None
-    return check_convex_combination(p, others, pivot_cap)
+    lam = check_convex_combination(p, others, pivot_cap)
+    if lam is None:
+        return None
+    return tuple((q, w) for q, w in zip(others, lam) if w)
 
 
 def vertex_set(
@@ -424,14 +434,11 @@ def vertex_set(
     pool = list(survivors)
     vertices: list[Point] = []
     for p in survivors:
-        others = [q for q in pool if q != p]
-        lam = _convex_weights(p, others, pivot_cap)
-        if lam is None:
+        cited = _witness(p, pool, pivot_cap)
+        if cited is None:
             vertices.append(p)
         else:
-            witnesses[p] = tuple(
-                (index[others[t]], lam[t]) for t in range(len(others)) if lam[t]
-            )
+            witnesses[p] = tuple((index[q], w) for q, w in cited)
             pool.remove(p)
     return VertexReport(points, tuple(vertices), witnesses)
 
@@ -489,8 +496,7 @@ def check_rhs_vertex(
         return False
     if all(v > 0 for v in bt) and minimizers != [bt]:
         return False
-    others = [p for p in pts.points if p != bt]
-    return _convex_weights(bt, others, pivot_cap) is None
+    return _witness(bt, pts.points, pivot_cap) is None
 
 
 def check_vertex_preservation(
@@ -514,12 +520,8 @@ def check_vertex_preservation(
     a, a0 = aggregate(inst.A, inst.b)
     agg = enumerate_feasible((a,), (a0,), cap)
     for v in report.vertices:
-        others = [q for q in agg.points if q != v]
-        lam = _convex_weights(v, others, pivot_cap)
-        if lam is not None:
-            cited = tuple(
-                (others[t], lam[t]) for t in range(len(others)) if lam[t]
-            )
+        cited = _witness(v, agg.points, pivot_cap)
+        if cited is not None:
             return CheckOutcome(
                 False,
                 counterexample={

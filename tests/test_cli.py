@@ -17,6 +17,8 @@ import knapagg.cli
 import knapagg.knapsack
 import knapagg.oracle
 from knapagg import (
+    CapExceeded,
+    CheckOutcome,
     IPInstance,
     PointSet,
     SolverBudget,
@@ -176,6 +178,13 @@ def test_derived_value_past_the_digit_limit_is_refused(tmp_path, capsys, cmd):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_render_refuses_an_int_past_the_digit_limit():
+    limit = _digit_limit()
+    with pytest.raises(CapExceeded, match=f"{limit}-digit limit"):
+        _render({"x": [10 ** limit]}, "\n")
+    assert _render(10 ** (limit - 1), "\n") == '"1' + "0" * (limit - 1) + '"'
+
+
 def test_missing_file_exit(tmp_path, capsys):
     code, rep = _run(capsys, ["solve", str(tmp_path / "nope.json")])
     assert code == 4
@@ -214,6 +223,56 @@ def test_verify_cap_exit(tmp_path, capsys):
     code, rep = _run(capsys, ["verify", _write(tmp_path, doc), "--cap", "50"])
     assert code == 3
     assert rep["status"] == "cap_exceeded"
+
+
+# the aggregated rhs 10001**2 - 1 is past the default max_rhs of 10**7
+BUDGET_REFUSED = {"A": [["1", "0"], ["0", "1"]], "b": ["10000", "10000"], "c": ["1", "1"]}
+
+
+def _failed_lower_bound(inst, hull):
+    return CheckOutcome(False, counterexample={"vertex": (1, 2)})
+
+
+def test_verify_budget_refusal_is_undecided(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, BUDGET_REFUSED)
+    code, rep = _run(capsys, ["verify", path])
+    assert code == 3 and rep["status"] == "budget_exceeded"
+    checks = rep["result"]["checks"]
+    assert checks["solver_matches_oracle"] == {
+        "holds": None,
+        "solver_status": "budget_exceeded",
+        "solver_objective": None,
+        "oracle_status": "optimal",
+        "oracle_objective": "20000",
+    }
+    assert checks["rhs_vertex"] is True
+    assert checks["vertex_preservation"]["holds"] is True
+    assert checks["rhs_lower_bound"]["holds"] is True
+    assert rep["result"]["falsifications"] == []
+    # a falsified check outranks the undecided solve
+    monkeypatch.setattr(knapagg.cli, "check_rhs_lower_bound", _failed_lower_bound)
+    code, rep = _run(capsys, ["verify", path])
+    assert code == 5 and rep["status"] == "falsified"
+    assert rep["result"]["checks"]["solver_matches_oracle"]["holds"] is None
+    assert [f["check"] for f in rep["result"]["falsifications"]] == ["rhs_lower_bound"]
+
+
+def test_verify_lists_falsifications_in_table_order(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, DEMO)
+    monkeypatch.setattr(knapagg.cli, "check_rhs_lower_bound", _failed_lower_bound)
+    code, rep = _run(capsys, ["verify", path])
+    assert code == 5 and rep["status"] == "falsified"
+    assert rep["result"]["checks"]["rhs_lower_bound"] == {"holds": False, "vacuous": False}
+    assert rep["result"]["falsifications"] == [
+        {"check": "rhs_lower_bound", "data": {"vertex": ["1", "2"]}},
+    ]
+    monkeypatch.setattr(knapagg.cli, "check_rhs_vertex", lambda b, cap: False)
+    code, rep = _run(capsys, ["verify", path])
+    assert code == 5 and rep["status"] == "falsified"
+    assert rep["result"]["falsifications"] == [
+        {"check": "rhs_vertex", "rhs": ["1", "1"]},
+        {"check": "rhs_lower_bound", "data": {"vertex": ["1", "2"]}},
+    ]
 
 
 def test_bound_vertex(tmp_path, capsys):

@@ -27,7 +27,7 @@ from knapagg import (
     reduce,
     vertex_set,
 )
-from knapagg.oracle import DEFAULT_PIVOT_CAP, _convex_weights, _lex_extreme
+from knapagg.oracle import DEFAULT_PIVOT_CAP, _lex_extreme, _witness
 
 
 def _brute_points(A, b):
@@ -485,14 +485,11 @@ def _full_scan_vertex_set(points, pivot_cap=DEFAULT_PIVOT_CAP):
     pool = list(survivors)
     vertices = []
     for p in survivors:
-        others = [q for q in pool if q != p]
-        lam = _convex_weights(p, others, pivot_cap)
-        if lam is None:
+        cited = _witness(p, pool, pivot_cap)
+        if cited is None:
             vertices.append(p)
         else:
-            witnesses[p] = tuple(
-                (index[others[t]], lam[t]) for t in range(len(others)) if lam[t]
-            )
+            witnesses[p] = tuple((index[q], w) for q, w in cited)
             pool.remove(p)
     return VertexReport(points, tuple(vertices), witnesses)
 
@@ -524,11 +521,11 @@ def test_midpoint_half_scan_on_unsorted_sets(monkeypatch):
     # so record the points that reach it: exactly those of no midpoint pair
     tested = []
 
-    def recording(p, others, pivot_cap):
+    def recording(p, pool, pivot_cap):
         tested.append(p)
-        return _convex_weights(p, others, pivot_cap)
+        return _witness(p, pool, pivot_cap)
 
-    monkeypatch.setattr(knapagg.oracle, "_convex_weights", recording)
+    monkeypatch.setattr(knapagg.oracle, "_witness", recording)
     rng = random.Random(4418)
     for pts in _midpoint_sets(rng, 200):
         rng.shuffle(pts)
@@ -643,12 +640,13 @@ def test_lp_gives_the_witness_of_a_non_vertex():
     # pass would take it; the vertex test itself must fall back to the LP
     square = [(0, 0), (2, 0), (0, 2), (2, 2)]
     assert _lex_extreme((1, 1), square) is None
-    lam = _convex_weights((1, 1), square, DEFAULT_PIVOT_CAP)
-    assert lam is not None
-    assert lam == check_convex_combination((1, 1), square)
-    assert sum(lam) == 1 and all(w >= 0 for w in lam)
+    cited = _witness((1, 1), square, DEFAULT_PIVOT_CAP)
+    assert cited is not None
+    lam = check_convex_combination((1, 1), square)
+    assert cited == tuple((q, w) for q, w in zip(square, lam) if w)
+    assert sum(w for _, w in cited) == 1 and all(w > 0 for _, w in cited)
     for i in range(2):
-        assert sum(w * q[i] for w, q in zip(lam, square)) == 1
+        assert sum(w * q[i] for q, w in cited) == 1
 
 
 def _points(inst):
@@ -760,6 +758,35 @@ def test_rhs_lower_bound_tight_case():
     inst = IPInstance.from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], [0, 0, 0])
     out = check_rhs_lower_bound(inst, _hull(inst))
     assert out.holds
+
+
+def test_vertex_preservation_cites_the_aggregated_combination():
+    # a report that wrongly claims (1, 1) a vertex of x1 + x2 = 2: the
+    # aggregated set (0, 2), (1, 1), (2, 0) holds it as a midpoint
+    inst = IPInstance.from_rows([[1, 1]], [2], [0, 0])
+    report = VertexReport(PointSet(2, ((1, 1),)), ((1, 1),))
+    out = check_vertex_preservation(inst, report)
+    assert not out.holds and not out.vacuous
+    half = Fraction(1, 2)
+    assert out.counterexample == {
+        "vertex": (1, 1),
+        "combination": (((0, 2), half), ((2, 0), half)),
+        "aggregated_row": (1, 1),
+        "aggregated_rhs": 2,
+    }
+
+
+def test_rhs_lower_bound_reports_the_violated_product():
+    # a report claiming vertex (2, 2) of x1 + x2 = 2: prod(3, 3) - 1 = 8 > 2
+    inst = IPInstance.from_rows([[1, 1]], [2], [0, 0])
+    report = VertexReport(PointSet(2, ((2, 2),)), ((2, 2),))
+    out = check_rhs_lower_bound(inst, report)
+    assert not out.holds and not out.vacuous
+    assert out.counterexample == {
+        "vertex": (2, 2),
+        "product_bound": 8,
+        "aggregated_rhs": 2,
+    }
 
 
 def test_box_injectivity():
