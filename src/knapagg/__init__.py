@@ -24,7 +24,6 @@ from .errors import (
     ValidationError,
 )
 from .instance import (
-    BoxBounds,
     Evaluation,
     IPInstance,
     Reduction,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUDGET_EXCEEDED",
-    "BoxBounds",
     "BruteForceResult",
     "CapExceeded",
     "CheckOutcome",

@@ -76,8 +76,8 @@ class KnapsackInstance:
     weights/rhs describe the aggregated equality, costs the penalized
     objective over the kept columns.  upper_bound, shift and penalty are the
     L, k, H parameters of the construction.  reduced is the reduction of
-    original, the instance given to build_knapsack, so its maps and lift
-    lead from the kept columns back to original's coordinates.
+    the instance given to build_knapsack, so its column_map and lift lead
+    from the kept columns back to that instance's coordinates.
     """
 
     weights: tuple[int, ...]
@@ -87,7 +87,6 @@ class KnapsackInstance:
     shift: int
     penalty: int
     reduced: Reduction
-    original: IPInstance
 
     def __post_init__(self) -> None:
         if any(w <= 0 for w in self.weights):
@@ -98,10 +97,6 @@ class KnapsackInstance:
             raise ValidationError("cost vector must match the weight vector")
         if any(cv < 0 for cv in self.costs):
             raise ValidationError("penalized costs must be nonnegative")
-
-    @property
-    def column_map(self) -> tuple[int, ...]:
-        return self.reduced.column_map
 
 
 def build_knapsack(inst: IPInstance) -> KnapsackInstance:
@@ -136,7 +131,7 @@ def build_knapsack(inst: IPInstance) -> KnapsackInstance:
     inner = red.inner
     weights, rhs = aggregate(inner.A, inner.b)
     col_sums = tuple(sum(column) for column in zip(*inner.A))
-    bound = sum(cj * uj for cj, uj in zip(inner.c, box_bounds(inner).upper) if cj > 0)
+    bound = sum(cj * uj for cj, uj in zip(inner.c, box_bounds(inner)) if cj > 0)
     # ceil(-c_j / s_j) = -(c_j // s_j), without floats
     shift = max((-(cj // sj) for cj, sj in zip(inner.c, col_sums) if cj < 0), default=0)
     penalty = bound + shift * (sum(inner.b) + 1) + 1
@@ -149,5 +144,4 @@ def build_knapsack(inst: IPInstance) -> KnapsackInstance:
         shift=shift,
         penalty=penalty,
         reduced=red,
-        original=inst,
     )

@@ -60,21 +60,14 @@ from .oracle import (
     vertex_set,
 )
 
-EXIT_OK = 0
-EXIT_INFEASIBLE = 1
-EXIT_UNBOUNDED = 2
-EXIT_BUDGET = 3
-EXIT_INPUT = 4
-EXIT_FALSIFIED = 5
-
 _STATUS_EXIT = {
-    "ok": EXIT_OK,
-    "infeasible": EXIT_INFEASIBLE,
-    "unbounded": EXIT_UNBOUNDED,
-    "budget_exceeded": EXIT_BUDGET,
-    "cap_exceeded": EXIT_BUDGET,
-    "input_error": EXIT_INPUT,
-    "falsified": EXIT_FALSIFIED,
+    "ok": 0,
+    "infeasible": 1,
+    "unbounded": 2,
+    "budget_exceeded": 3,
+    "cap_exceeded": 3,
+    "input_error": 4,
+    "falsified": 5,
 }
 
 # the report status of each error a subcommand may raise, subclasses included
@@ -163,6 +156,9 @@ def _set_block(pts: PointSet, pivot_cap: int) -> dict:
     }
 
 
+_PINNED = "pinned to zero by a zero right-hand-side row"
+
+
 def _zero_column_reason(cost: int) -> str:
     if cost >= 0:
         return "zero column, cost >= 0, variable fixed to 0"
@@ -180,13 +176,13 @@ def _cmd_aggregate(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, st
         # reduce drops only rows with b_i = 0, each a factor of 1
         "rhs_plus_one_product": kp.rhs + 1,
         "rhs_bit_length": kp.rhs.bit_length(),
-        "columns_kept": list(kp.column_map),
+        "columns_kept": list(red.column_map),
         "columns_dropped": [
             {
                 "index": j,
-                "reason": _zero_column_reason(core.c[j]) if j in red.zero_columns else why,
+                "reason": _zero_column_reason(core.c[j]) if j in red.zero_columns else _PINNED,
             }
-            for j, why in red.dropped
+            for j in red.dropped
         ],
     }
     return result, "ok"
@@ -210,7 +206,7 @@ def _cmd_solve(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
             "objective_upper_bound": kp.upper_bound,
             "cost_shift": kp.shift,
             "penalty": kp.penalty,
-            "columns_kept": list(kp.column_map),
+            "columns_kept": list(kp.reduced.column_map),
         },
     }
     status = {OPTIMAL: "ok", INFEASIBLE: "infeasible", BUDGET_EXCEEDED: "budget_exceeded"}[
@@ -396,7 +392,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _STATUS_EXIT["input_error"]
     report: dict[str, Any] = {"command": args.cmd}
     report["settings"] = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("cmd", "instance")

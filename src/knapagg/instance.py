@@ -34,7 +34,7 @@ class IPInstance:
     matching lengths for b and c, A and b nonnegative, sense is "min" or
     "max".  Zero columns are legal here; `reduce` removes them before
     aggregation.  n = 0 is allowed so a fully reduced instance can still
-    be represented; the parser rejects empty input separately.
+    be represented; the parser rejects n = 0.
     """
 
     A: Matrix
@@ -101,36 +101,20 @@ class Evaluation(NamedTuple):
 
 
 @dataclass(frozen=True)
-class BoxBounds:
-    """Per-variable upper bounds implied by Ax = b, x >= 0.
-
-    upper[j] is min over rows with A[i][j] > 0 of b[i] // A[i][j], or None
-    when column j is all zero and the variable is unbounded.
-    """
-
-    upper: tuple[int | None, ...]
-
-
-_PINNED = "pinned to zero by a zero right-hand-side row"
-_ZERO_COLUMN = "zero in every row, variable fixed to 0"
-
-
-@dataclass(frozen=True)
 class Reduction:
     """An instance with its zero right-hand-side rows and zero columns removed.
 
-    Every index is in original coordinates: row_map[i] is the original
-    index of kept row i, column_map[j] that of kept column j, dropped
-    lists (original column index, reason) pairs in index order, and
-    zero_columns names the dropped columns that are zero in every row.
-    lift restores original_n coordinates, with zeros where columns were
+    Every index is in original coordinates: column_map[j] is the original
+    index of kept column j, dropped lists the dropped columns in index
+    order, and zero_columns names those of them that are zero in every
+    row; the others are pinned by a zero right-hand-side row.  lift
+    restores original_n coordinates, with zeros where columns were
     dropped.
     """
 
     inner: IPInstance
-    row_map: tuple[int, ...]
     column_map: tuple[int, ...]
-    dropped: tuple[tuple[int, str], ...]
+    dropped: tuple[int, ...]
     zero_columns: tuple[int, ...]
     original_n: int
 
@@ -164,16 +148,13 @@ def reduce(inst: IPInstance) -> Reduction:
     gone = [row for i, row in enumerate(inst.A) if i not in rows]
     kept_A = [inst.A[i] for i in rows]
     kept: list[int] = []
-    zero: list[int] = []
-    dropped: list[tuple[int, str]] = []
+    dropped: list[int] = []
     for j in range(inst.n):
-        if any(row[j] for row in gone):
-            dropped.append((j, _PINNED))
-        elif any(row[j] for row in kept_A):
+        if any(row[j] for row in kept_A) and not any(row[j] for row in gone):
             kept.append(j)
         else:
-            zero.append(j)
-            dropped.append((j, _ZERO_COLUMN))
+            dropped.append(j)
+    zero = tuple(j for j in dropped if not any(row[j] for row in inst.A))
     if not dropped and len(rows) == inst.m:
         inner = inst
     else:
@@ -183,7 +164,7 @@ def reduce(inst: IPInstance) -> Reduction:
             tuple(inst.c[j] for j in kept),
             inst.sense,
         )
-    return Reduction(inner, rows, tuple(kept), tuple(dropped), tuple(zero), inst.n)
+    return Reduction(inner, tuple(kept), tuple(dropped), zero, inst.n)
 
 
 def _parse_int(raw: object, where: str) -> int:
@@ -232,9 +213,7 @@ def parse_instance(text: str | bytes) -> IPInstance:
     sense = doc.get("sense", SENSE_MIN)
     if sense not in (SENSE_MIN, SENSE_MAX):
         raise ParseError("sense must be 'min' or 'max'")
-    if len(A) == 0:
-        raise ValidationError("at least one constraint row is required")
-    if len(A[0]) == 0:
+    if A and not A[0]:
         raise ValidationError("at least one variable is required")
     return IPInstance(A, b, c, sense)
 
@@ -254,7 +233,12 @@ def instance_digest(inst: IPInstance) -> str:
     return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()
 
 
-def box_bounds(inst: IPInstance) -> BoxBounds:
+def box_bounds(inst: IPInstance) -> tuple[int | None, ...]:
+    """Per-variable upper bounds implied by Ax = b, x >= 0.
+
+    Entry j is min over rows with A[i][j] > 0 of b[i] // A[i][j], or None
+    when column j is all zero and the variable is unbounded.
+    """
     upper: list[int | None] = []
     for j in range(inst.n):
         col = inst.column(j)
@@ -262,7 +246,7 @@ def box_bounds(inst: IPInstance) -> BoxBounds:
             upper.append(min(inst.b[i] // col[i] for i in range(inst.m) if col[i] > 0))
         else:
             upper.append(None)
-    return BoxBounds(tuple(upper))
+    return tuple(upper)
 
 
 def evaluate(inst: IPInstance, x: Sequence[int]) -> Evaluation:

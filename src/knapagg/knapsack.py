@@ -63,9 +63,9 @@ class KnapsackSolution:
 class Solution:
     """Outcome of the full reduce-and-solve pipeline, in original coordinates.
 
-    knapsack is the surrogate that was solved; its column_map lists, in
-    original indices, the variables that reached it, and every other
-    coordinate of x is zero.
+    knapsack is the surrogate that was solved; its reduced.column_map
+    lists, in original indices, the variables that reached it, and every
+    other coordinate of x is zero.
     """
 
     x: tuple[int, ...] | None
@@ -302,7 +302,7 @@ def solve_knapsack(
     value = best[kp.rhs]
     if value == inf:
         return KnapsackSolution(
-            None, None, INFEASIBLE, detail="no nonnegative integer combination hits rhs"
+            None, None, INFEASIBLE, detail="aggregated knapsack has no solution"
         )
     return KnapsackSolution(
         _reconstruct(best, kp.weights, kp.costs, kp.rhs), value, OPTIMAL
@@ -326,17 +326,8 @@ def solve_original(
     core = canonicalize_minimize(inst)
     kp = build_knapsack(core)
     sol = solve_knapsack(kp, budget)
-    if sol.status == BUDGET_EXCEEDED:
-        return Solution(None, None, BUDGET_EXCEEDED, detail=sol.detail, knapsack=kp)
-    if sol.status == INFEASIBLE:
-        return Solution(
-            None,
-            None,
-            INFEASIBLE,
-            detail="aggregated knapsack has no solution",
-            knapsack=kp,
-        )
-    assert sol.x is not None
+    if sol.x is None:
+        return Solution(None, None, sol.status, detail=sol.detail, knapsack=kp)
     lifted = kp.reduced.lift(sol.x)
     # the residual does not depend on c, and inst.c has the original sense
     ev = evaluate(inst, lifted)

@@ -240,7 +240,7 @@ def _criterion5(tmp_dir) -> dict:
         "aggregating_vector": f == (1, 2),
         "aggregated_row": kp.weights == (1, 3, 2),
         "aggregated_rhs": kp.rhs == 3,
-        "box": box.upper == (1, 1, 1),
+        "box": box == (1, 1, 1),
         "upper_bound": kp.upper_bound == 3,
         "shift": kp.shift == 0,
         "penalty": kp.penalty == 4,
@@ -276,7 +276,6 @@ def _knapsack_shell(weights, rhs, costs) -> KnapsackInstance:
         shift=0,
         penalty=0,
         reduced=reduce(shell),
-        original=shell,
     )
 
 

@@ -109,7 +109,7 @@ def test_nonneg_cost_shift_is_minimal():
             A[rng.randrange(m)][j] = max(1, A[rng.randrange(m)][j])
         c = [rng.randint(-8, 8) for _ in range(n)]
         kp = _kp(A, [1] * m, c)
-        assert kp.column_map == tuple(range(n))
+        assert kp.reduced.column_map == tuple(range(n))
         k = kp.shift
         sums = [sum(row[j] for row in A) for j in range(n)]
         assert all(cj + k * sj >= 0 for cj, sj in zip(c, sums))
@@ -137,7 +137,7 @@ def test_objective_upper_bound_dominates_every_feasible_value():
         # instance is finite; a variable that reduce drops is 0 wherever
         # Ax = b holds
         bound = _kp(A, b, c).upper_bound
-        upper = box_bounds(IPInstance.from_rows(A, b, c)).upper
+        upper = box_bounds(IPInstance.from_rows(A, b, c))
         for x in product(*(range(u + 1) for u in upper)):
             if all(
                 sum(A[i][j] * x[j] for j in range(n)) == b[i] for i in range(m)
@@ -187,7 +187,7 @@ def test_build_knapsack_demo():
     assert kp.shift == 0
     assert kp.penalty == 4
     assert kp.costs == (5, 9, 5)
-    assert kp.column_map == (0, 1, 2)
+    assert kp.reduced.column_map == (0, 1, 2)
 
 
 def test_build_knapsack_single_row():
@@ -210,7 +210,7 @@ def test_build_knapsack_leaves_unboundedness_to_the_solver():
     for b in (2, 3):
         kp = build_knapsack(IPInstance.from_rows([[2, 0]], [b], [0, -1]))
         assert kp.reduced.zero_columns == (1,)
-        assert kp.column_map == (0,)
+        assert kp.reduced.column_map == (0,)
         assert (kp.weights, kp.rhs, kp.costs) == ((2,), b, (2,))
 
 

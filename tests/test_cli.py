@@ -621,6 +621,23 @@ def test_aggregate_lists_pinned_and_zero_columns(tmp_path, capsys):
     assert rep["result"]["surrogate"]["columns_kept"] == ["0", "3"]
 
 
+def test_aggregate_words_each_dropped_column(tmp_path, capsys):
+    # column 1 is pinned by the zero row; columns 2 and 3 are zero in every
+    # row, one with a nonnegative cost and one with a negative cost
+    doc = {"A": [["1", "0", "0", "0"], ["0", "1", "0", "0"]], "b": ["1", "0"],
+           "c": ["0", "0", "3", "-2"]}
+    code, rep = _run(capsys, ["aggregate", _write(tmp_path, doc)])
+    assert code == 0
+    assert rep["result"]["columns_dropped"] == [
+        {"index": "1", "reason": "pinned to zero by a zero right-hand-side row"},
+        {"index": "2", "reason": "zero column, cost >= 0, variable fixed to 0"},
+        {
+            "index": "3",
+            "reason": "zero column, negative cost -2: unbounded if the kept rows are feasible",
+        },
+    ]
+
+
 def test_verify_checks_the_restricted_rows_and_rhs_vertex_the_given_b(
     tmp_path, capsys, monkeypatch
 ):

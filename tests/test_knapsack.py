@@ -34,7 +34,6 @@ def _kp(weights, rhs, costs):
         shift=0,
         penalty=0,
         reduced=reduce(shell),
-        original=shell,
     )
 
 
@@ -160,6 +159,16 @@ def test_solve_original_handles_empty_aggregated_set():
     assert sol.status == INFEASIBLE
 
 
+def test_infeasible_table_has_one_wording():
+    # 2 x0 + 4 x1 = 3 has no solution: the table says so, and solve_original
+    # passes its words on as they are
+    inst = IPInstance.from_rows([[2, 4]], [3], [1, 1])
+    table = solve_knapsack(build_knapsack(inst))
+    sol = solve_original(inst)
+    assert table.status == sol.status == INFEASIBLE
+    assert table.detail == sol.detail == "aggregated knapsack has no solution"
+
+
 def test_solve_original_maximize():
     inst = IPInstance.from_rows(
         [[1, 1, 0], [0, 1, 1]], [1, 1], [-1, -1, -1], sense="max"
@@ -251,13 +260,13 @@ def test_knapsack_instance_validation():
     shell = IPInstance.from_rows([[1]], [1], [1])
     red = reduce(shell)
     with pytest.raises(ValidationError):
-        KnapsackInstance((0,), 1, (1,), 0, 0, 0, red, shell)
+        KnapsackInstance((0,), 1, (1,), 0, 0, 0, red)
     with pytest.raises(ValidationError):
-        KnapsackInstance((1,), -1, (1,), 0, 0, 0, red, shell)
+        KnapsackInstance((1,), -1, (1,), 0, 0, 0, red)
     with pytest.raises(ValidationError):
-        KnapsackInstance((1,), 1, (-1,), 0, 0, 0, red, shell)
+        KnapsackInstance((1,), 1, (-1,), 0, 0, 0, red)
     with pytest.raises(ValidationError):
-        KnapsackInstance((1,), 1, (1, 2), 0, 0, 0, red, shell)
+        KnapsackInstance((1,), 1, (1, 2), 0, 0, 0, red)
 
 
 def test_build_then_solve_agrees_with_direct_costs():
@@ -294,7 +303,7 @@ def test_solve_original_zero_rhs_row_pins_variables():
     assert sol.status == OPTIMAL
     assert sol.x == (0, 0, 0, 2)
     assert sol.objective == 0
-    assert sol.knapsack.column_map == (3,)
+    assert sol.knapsack.reduced.column_map == (3,)
 
 
 def test_solve_original_zero_rhs_row_second_case():
@@ -321,11 +330,10 @@ def test_solve_original_keeps_its_bookkeeping_in_original_coordinates():
     sol = solve_original(inst)
     kp = sol.knapsack
     assert sol.status == OPTIMAL and sol.x == (1, 0, 0, 0)
-    assert kp.column_map == (0, 3)
-    assert kp.reduced.row_map == (0,)
-    assert [j for j, _ in kp.reduced.dropped] == [1, 2]
+    assert kp.reduced.column_map == (0, 3)
+    assert kp.reduced.dropped == (1, 2)
     assert kp.reduced.zero_columns == (2,)
-    assert kp.original.n == 4 and kp.reduced.original_n == 4
+    assert kp.reduced.original_n == 4
     assert kp.reduced.lift(solve_knapsack(kp).x) == sol.x
 
 
@@ -333,9 +341,8 @@ def test_solve_original_all_pinned_keeps_the_original_width():
     inst = IPInstance.from_rows([[1], [1]], [2, 0], [1])
     sol = solve_original(inst)
     assert sol.status == INFEASIBLE
-    assert sol.knapsack.original.n == 1
     assert sol.knapsack.reduced.original_n == 1
-    assert sol.knapsack.column_map == ()
+    assert sol.knapsack.reduced.column_map == ()
     assert sol.knapsack.reduced.lift(()) == (0,)
 
 
