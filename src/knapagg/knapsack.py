@@ -8,7 +8,17 @@ tables that would not fit before allocating anything.
 
 Two fills compute the same table, column by column, and mark an
 unreachable value with the same sentinel, max(costs) * (rhs + 1) + 1.  The
-reference loop runs on Python integers, so costs of any size stay exact.
+finished table is the cheapest cost of each value over all the columns,
+whatever their order, so both fills take the order that leaves the least
+to do: the columns that fit (w <= rhs), the cheapest cost per unit of
+weight c/w first, compared exactly by cross-multiplication, equal ratios by
+weight.  The first column fills an empty table, so it is written in closed
+form, best[k*w] = k*c.  A later column is skipped when best[w] <= c
+(Gilmore and Gomory, 1966): the table then holds the cheapest costs over
+the columns before it, so best[v - w] + c >= best[v - w] + best[w] >=
+best[v] at every v, and the column would change no entry.
+
+The reference loop runs on Python integers, so costs of any size stay exact.
 When numpy imports and the table is large enough to repay it, the table is
 filled on int64 arrays instead, but only after an integer proof that no
 value can overflow (the sentinel is at most 2**62); that path is integer
@@ -18,7 +28,8 @@ mod w, an accumulate over (rows, w) views of cache-sized blocks.  A wide
 column runs the recurrence itself, one contiguous row of w values at a
 time; each numpy call then costs a few microseconds, which only a long
 row repays, while the accumulate costs the same per value at any width.
-One reconstruction reads the point back from any of these tables.
+One reconstruction reads the point back from any of these tables; it
+reads the table and the columns in index order only, never the fill order.
 """
 
 from __future__ import annotations
@@ -26,7 +37,8 @@ from __future__ import annotations
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, islice
+from functools import cmp_to_key
+from itertools import accumulate, count, islice, repeat
 
 from .aggregation import KnapsackInstance, build_knapsack
 from .errors import UnboundedProblem, ValidationError
@@ -40,7 +52,10 @@ BUDGET_EXCEEDED = "budget_exceeded"
 @dataclass(frozen=True)
 class SolverBudget:
     """Caps on table size: the aggregated rhs, and the cell count
-    n * (rhs + 1), one cell per column and table value, that the fill visits.
+    n * (rhs + 1), one cell per column and table value.  That count bounds
+    the cells the fill visits; the fill visits fewer, since it skips the
+    columns above rhs or dominated by those before them and writes its
+    first column in closed form.
     """
 
     max_rhs: int = 10_000_000
@@ -127,18 +142,45 @@ def _use_int64_fill(inf: int, cells: int) -> bool:
     return True
 
 
+def _cheaper_per_weight(p: tuple[int, int], q: tuple[int, int]) -> int:
+    """Sign of c_p / w_p - c_q / w_q for columns (w, c), exactly; then w_p - w_q."""
+    return p[1] * q[0] - q[1] * p[0] or p[0] - q[0]
+
+
+def _fill_order(
+    weights: tuple[int, ...], costs: tuple[int, ...], rhs: int
+) -> list[tuple[int, int]]:
+    """The columns (w, c) that fit, cheapest cost per unit of weight first.
+
+    Equal ratios go by weight, and equal columns keep their index order.
+    """
+    fit = [(w, c) for w, c in zip(weights, costs) if w <= rhs]
+    fit.sort(key=cmp_to_key(_cheaper_per_weight))
+    return fit
+
+
 def _fill_python(
     weights: tuple[int, ...], costs: tuple[int, ...], rhs: int, inf: int
 ) -> list[int]:
     """Column-by-column fill on Python integers; inf marks an unreachable value.
 
-    For v ascending from w, best[v] = min(best[v], best[v - w] + c).  List
-    iterators are live, so best[v - w] already counts this column.  A
-    weight above rhs gives an empty slice and leaves the table as it is.
+    Columns go in _fill_order.  The first one writes best[k*w] = k*c into
+    the empty table.  A later one is skipped when best[w] <= c; otherwise,
+    for v ascending from w, best[v] = min(best[v], best[v - w] + c).  List
+    iterators are live, so best[v - w] already counts this column.
     """
     best = [inf] * (rhs + 1)
     best[0] = 0
-    for w, c in zip(weights, costs):
+    columns = _fill_order(weights, costs, rhs)
+    if columns:
+        # a loop, not best[::w] = ..., which would hold two more lists of
+        # rhs // w + 1 pointers while it assigns
+        w, c = columns[0]
+        for v, kc in zip(range(w, rhs + 1, w), accumulate(repeat(c, rhs // w))):
+            best[v] = kc
+    for w, c in columns[1:]:
+        if best[w] <= c:
+            continue
         for v, prev, cur in zip(count(w), iter(best), islice(best, w, None)):
             cand = prev + c
             if cand < cur:
@@ -151,22 +193,31 @@ def _fill_int64(
 ) -> memoryview:
     """Column-by-column fill on int64 arrays; inf marks an unreachable value.
 
-    Exact only when inf <= 2**62 (see _unreachable).  Each column finishes
-    the same recurrence as _fill_python, best[v] = min(best[v], best[v - w]
-    + c) for v ascending, so the table is the same entry for entry.  A
-    column of weight w >= _ROW_FILL_WEIGHT runs the recurrence a row of w
-    values at a time; a narrower one takes a running minimum per residue
-    class, one accumulate for every class of a block at once.  numpy's
-    accumulate costs about the same per value whatever w is, while a row
-    costs a fixed few microseconds plus its w values, so rows win once w is
-    large.
+    Exact only when inf <= 2**62 (see _unreachable).  Columns go in
+    _fill_order, and the table is the same as _fill_python's entry for
+    entry.  The first column writes k*c at every multiple k*w, as a running
+    sum of c in place on the strided view best[::w]; its last entry,
+    (rhs // w) * c, is below inf.  A later column is skipped when best[w]
+    <= c; otherwise it finishes the recurrence best[v] = min(best[v],
+    best[v - w] + c) for v ascending.  A column of weight w >=
+    _ROW_FILL_WEIGHT runs the recurrence a row of w values at a time; a
+    narrower one takes a running minimum per residue class, one accumulate
+    for every class of a block at once.  numpy's accumulate costs about the
+    same per value whatever w is, while a row costs a fixed few
+    microseconds plus its w values, so rows win once w is large.
     """
     import numpy as np
 
     best = np.full(rhs + 1, inf, dtype=np.int64)
     best[0] = 0
-    for w, c in zip(weights, costs):
-        if w > rhs:
+    columns = _fill_order(weights, costs, rhs)
+    if columns:
+        w, c = columns[0]
+        first = best[::w]
+        first[1:] = c
+        np.add.accumulate(first, out=first)
+    for w, c in columns[1:]:
+        if best[w] <= c:
             continue
         if w >= _ROW_FILL_WEIGHT:
             _min_by_rows(best, w, c)

@@ -514,29 +514,163 @@ def _wide_surrogates():
                 yield tuple(weights), rhs, tuple(costs)
 
 
+def _one_column(best, w, c):
+    """best[v] = min(best[v], best[v - w] + c) for v ascending, on a copy."""
+    best = list(best)
+    for v in range(w, len(best)):
+        best[v] = min(best[v], best[v - w] + c)
+    return best
+
+
 @pytest.mark.parametrize("block", [None, 1024])
 def test_int64_kernels_match_python_fill_around_the_row_weight(monkeypatch, block):
-    pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy")
     if block is not None:
         # blocks of a few rows: narrow columns cross many block boundaries,
         # and a last block can be shorter than one row
         monkeypatch.setattr(knapsack, "_BLOCK_VALUES", block)
-    ran = []
+    ran = {"_min_by_rows": 0, "_min_by_residues": 0}
+    unreachable = improved = 0
+    for weights, rhs, costs in _wide_surrogates():
+        inf = knapsack._unreachable(costs, rhs)
+        for j, (w, c) in enumerate(zip(weights, costs)):
+            if w > rhs:
+                continue
+            # the table the columns before j leave, empty for j = 0, then
+            # column j by the kernel _fill_int64 picks for its weight,
+            # whether or not the fill would skip it
+            table = knapsack._fill_python(weights[:j], costs[:j], rhs, inf)
+            want = _one_column(table, w, c)
+            name = "_min_by_rows" if w >= knapsack._ROW_FILL_WEIGHT else "_min_by_residues"
+            got = np.array(table, dtype=np.int64)
+            getattr(knapsack, name)(got, w, c)
+            assert got.tolist() == want
+            ran[name] += 1
+            improved += want != table
+            unreachable += inf in want
+    assert unreachable > 5 and improved > 20
+    assert ran["_min_by_rows"] > 20 and ran["_min_by_residues"] > 50
+
+
+def _index_order_fill(weights, costs, rhs, inf):
+    """The column recurrence in index order: no reordering, closed form or skip."""
+    best = [0] + [inf] * rhs
+    for w, c in zip(weights, costs):
+        best = _one_column(best, w, c)
+    return best
+
+
+def _ordered_surrogates():
+    """Seeded (weights, rhs, costs) with the columns the fill order meets."""
+    rng = random.Random(6174)
+    yield (), 5, ()  # no columns
+    yield (), 0, ()
+    yield (3, 2), 0, (1, 1)  # rhs = 0
+    yield (9, 12), 8, (0, 1)  # every weight beyond rhs
+    yield (4, 4, 4), 12, (3, 2, 3)  # duplicate weights
+    yield (2, 4, 6), 12, (1, 2, 3)  # equal ratios
+    for _ in range(300):
+        rhs = rng.choice((0, 1, rng.randint(2, 60), rng.randint(61, 3000)))
+        base = [(rng.randint(1, 12), rng.randint(0, 30)) for _ in range(rng.randint(1, 3))]
+        columns = []
+        for _ in range(rng.randint(1, 7)):
+            w, c = rng.choice(base)
+            kind = rng.randrange(5)
+            if kind == 0:
+                columns.append((w, c))  # a duplicate column
+            elif kind == 1:
+                k = rng.randint(2, 5)
+                columns.append((k * w, k * c))  # an equal ratio
+            elif kind == 2:
+                columns.append((w, 0))  # a zero cost
+            elif kind == 3:
+                columns.append((rhs + rng.randint(1, 9), c))  # beyond rhs
+            else:
+                bits = rng.choice((5, 40, 100))
+                columns.append((rng.randint(1, 40), rng.randint(0, 2**bits)))
+        yield tuple(w for w, _ in columns), rhs, tuple(c for _, c in columns)
+
+
+def test_both_fills_match_the_index_order_recurrence():
+    try:
+        import numpy
+    except ImportError:
+        numpy = None
+    reordered = skipped = feasible = int64 = 0
+    for weights, rhs, costs in _ordered_surrogates():
+        inf = knapsack._unreachable(costs, rhs)
+        ref = _index_order_fill(weights, costs, rhs, inf)
+        fills = [knapsack._fill_python(weights, costs, rhs, inf)]
+        if numpy is not None and inf <= 1 << 62:
+            fills.append(list(knapsack._fill_int64(weights, costs, rhs, inf)))
+            int64 += 1
+        order = knapsack._fill_order(weights, costs, rhs)
+        reordered += order != [(w, c) for w, c in zip(weights, costs) if w <= rhs]
+        # a column is skipped when the ones before it reach w at cost <= c
+        skipped += any(
+            _index_order_fill(*zip(*order[:i]), rhs, inf)[w] <= c
+            for i, (w, c) in enumerate(order)
+            if i
+        )
+        for best in fills:
+            assert best == ref
+        if ref[rhs] == inf:
+            continue
+        feasible += 1
+        x = knapsack._reconstruct(ref, weights, costs, rhs)
+        for best in fills:
+            assert knapsack._reconstruct(best, weights, costs, rhs) == x
+    assert reordered > 60 and skipped > 60 and feasible > 100
+    assert int64 > 100 or numpy is None
+
+
+def test_fill_order_compares_cost_per_weight_exactly():
+    # (k + 1) / 1 and (3k + 2) / 3 differ by 1/3 and round to the same
+    # float, which would put the lighter column first
+    k = 2**60
+    assert float(k + 1) == (3 * k + 2) / 3
+    order = knapsack._fill_order((1, 3, 7), (k + 1, 3 * k + 2, 0), 7)
+    assert order == [(7, 0), (3, 3 * k + 2), (1, k + 1)]
+    # equal ratios by weight, equal columns in index order, 9 > rhs left out
+    assert knapsack._fill_order((4, 2, 9, 2), (2, 1, 0, 1), 8) == [(2, 1), (2, 1), (4, 2)]
+
+
+def test_a_dominated_column_runs_no_kernel_and_no_loop(monkeypatch):
+    # (3, 1) goes first and writes best[3k] = k.  (6, 2) has its ratio and
+    # (999, 400) reaches 999 = 3 * 333 at no less than 333: both are
+    # skipped.  1000 and 4 are no multiples of 3, so (1000, 400) and
+    # (4, 5) each run once.
+    weights, costs, rhs = (4, 6, 999, 3, 1000), (5, 2, 400, 1, 400), 2000
+    inf = knapsack._unreachable(costs, rhs)
+    assert knapsack._fill_order(weights, costs, rhs) == [
+        (3, 1), (6, 2), (1000, 400), (999, 400), (4, 5)
+    ]
+    ref = _index_order_fill(weights, costs, rhs, inf)
+    loops = []
+    islice = knapsack.islice
+
+    def spy_islice(best, w, stop):
+        loops.append(w)
+        return islice(best, w, stop)
+
+    monkeypatch.setattr(knapsack, "islice", spy_islice)
+    assert knapsack._fill_python(weights, costs, rhs, inf) == ref
+    assert loops == [1000, 4]
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return  # the pure-Python leg has no int64 fill to spy on
+    kernels = []
     for name in ("_min_by_rows", "_min_by_residues"):
         kernel = getattr(knapsack, name)
 
         def spy(best, w, c, _kernel=kernel, _name=name):
-            ran.append(_name)
+            kernels.append((_name, w))
             return _kernel(best, w, c)
 
         monkeypatch.setattr(knapsack, name, spy)
-    infeasible = feasible = 0
-    for weights, rhs, costs in _wide_surrogates():
-        value, _ = _int64_agrees_with_python(weights, rhs, costs)
-        infeasible += value is None
-        feasible += value is not None
-    assert infeasible > 5 and feasible > 20
-    assert ran.count("_min_by_rows") > 20 and ran.count("_min_by_residues") > 50
+    assert list(knapsack._fill_int64(weights, costs, rhs, inf)) == ref
+    assert kernels == [("_min_by_rows", 1000), ("_min_by_residues", 4)]
 
 
 @pytest.mark.parametrize(
@@ -545,11 +679,13 @@ def test_int64_kernels_match_python_fill_around_the_row_weight(monkeypatch, bloc
 def test_overflow_proof_boundary_on_a_wide_column(monkeypatch, cost, path):
     pytest.importorskip("numpy")
     # rhs + 1 = 2**14, so the sentinel is 2**62 - 2**14 + 1 or 2**62 + 1.
-    # The first column runs row by row, and every value it cannot hit adds
-    # a cost to the sentinel.  Value 1 stays unreachable to the end.
+    # The cheap column of weight 3 goes first and reaches only multiples of
+    # 3, so the wide column runs row by row, and every value it cannot hit
+    # adds a cost to the sentinel.  Value 1 stays unreachable to the end.
     rhs = 2**14 - 1
-    weights = (knapsack._ROW_FILL_WEIGHT, 3, 2)
-    costs = (cost, cost - 1, cost)
+    wide = knapsack._ROW_FILL_WEIGHT + 1
+    weights = (wide, 3, 2)
+    costs = (cost, 1, cost)
     inf = knapsack._unreachable(costs, rhs)
     assert inf == cost * 2**14 + 1
     ran = _record_fills(monkeypatch)
@@ -561,7 +697,13 @@ def test_overflow_proof_boundary_on_a_wide_column(monkeypatch, cost, path):
     assert sol.value == ref[rhs]
     assert sol.x == knapsack._reconstruct(ref, weights, costs, rhs)
     if path == "_fill_int64":
+        rows = []
+        min_by_rows = knapsack._min_by_rows
+        monkeypatch.setattr(
+            knapsack, "_min_by_rows", lambda best, w, c: rows.append(w) or min_by_rows(best, w, c)
+        )
         assert list(knapsack._fill_int64(weights, costs, rhs, inf)) == ref
+        assert rows == [wide]
         # a sentinel of exactly 2**62 is still inside the proof
         top = 1 << 62
         ref = knapsack._fill_python(weights, costs, rhs, top)
