@@ -18,6 +18,13 @@ form, best[k*w] = k*c.  A later column is skipped when best[w] <= c
 the columns before it, so best[v - w] + c >= best[v - w] + best[w] >=
 best[v] at every v, and the column would change no entry.
 
+The Python fill also skips, within a column it runs, each value v whose
+predecessor v - w is unreachable: that predecessor holds the sentinel,
+and sentinel + c is never stored.  Reachability is a subset-sum question
+that a bitset answers a machine word at a time (Pisinger, 2003): one
+Python int, closed under each column it runs by a few shifts and ORs of
+rhs bits, tells which predecessors to visit.
+
 The reference loop runs on Python integers, so costs of any size stay exact.
 When numpy imports and the table is large enough to repay it, the table is
 filled on int64 arrays instead, but only after an integer proof that no
@@ -38,7 +45,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, compress, count, repeat
 
 from .aggregation import KnapsackInstance, build_knapsack
 from .errors import UnboundedProblem, ValidationError
@@ -55,7 +62,8 @@ class SolverBudget:
     n * (rhs + 1), one cell per column and table value.  That count bounds
     the cells the fill visits; the fill visits fewer, since it skips the
     columns above rhs or dominated by those before them and writes its
-    first column in closed form.
+    first column in closed form.  The Python fill also skips, in each
+    column it runs, the values whose predecessor is unreachable.
     """
 
     max_rhs: int = 10_000_000
@@ -93,20 +101,24 @@ class Solution:
 
 # Table sizes (cells) from which the int64 fill pays off.  Measured on a
 # 2-vCPU x86-64 VM with CPython 3.11 and numpy 2.4, each time in a fresh
-# process on solve-ladder tables of 1-4 * 10**6 cells: `import numpy` takes
-# 0.14-0.16 s, the Python fill 100-130 ns per cell and the int64 fill 8-10
-# ns per cell, so a process that has not imported numpy repays the import
-# from about 1.3 * 10**6 cells (timed whole: 0.118 s against 0.156 s at
-# 10**6 cells, 0.184 s against 0.162 s at 1.5 * 10**6).  Once numpy is
-# loaded the int64 fill wins from about 150 table values per column; the
-# warm threshold sits above that, where it costs a few microseconds at most.
-_NUMPY_COLD_CELLS = 1_300_000
+# process on six solve-ladder-shaped tables at each of 1.2, 1.35, 1.5, 1.65
+# and 1.8 * 10**6 cells: `import numpy` takes 0.10-0.16 s, the Python fill
+# 70-86 ns per cell and the int64 fill about 8 ns per cell, so a process
+# that has not imported numpy repays the import from about 1.5 * 10**6
+# cells (timed whole, medians: 0.085 s against 0.120 s at 1.2 * 10**6
+# cells, 0.114 s against 0.118 s at 1.5 * 10**6, 0.155 s against 0.120 s
+# at 1.8 * 10**6).  Once numpy is loaded the int64 fill wins from about 150
+# table values per column; the warm threshold sits above that, where it
+# costs a few microseconds at most.
+_NUMPY_COLD_CELLS = 1_500_000
 _NUMPY_WARM_CELLS = 2_000
 # Weight from which _fill_int64 fills a column row by row.  Measured on the
 # same VM on tables of 3 * 10**5 to 3 * 10**6 values: the accumulate costs
 # 5-10 ns per value at any weight, the row recurrence about 1 ns per value
 # plus 2-4 us per row, so the two break even at weights of about 380-600.
 _ROW_FILL_WEIGHT = 768
+# Binary digits of a bitset to compress() selectors: b"0" is truthy.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 # Values per block of _min_by_residues: 512 KiB of int64, which a block's
 # three passes (ramp, accumulate, ramp) find in cache.
 _BLOCK_VALUES = 1 << 16
@@ -166,24 +178,41 @@ def _fill_python(
 
     Columns go in _fill_order.  The first one writes best[k*w] = k*c into
     the empty table.  A later one is skipped when best[w] <= c; otherwise,
-    for v ascending from w, best[v] = min(best[v], best[v - w] + c).  List
-    iterators are live, so best[v - w] already counts this column.
+    for v ascending from w, best[v] = min(best[v], best[v - w] + c).
+
+    reach is a bitset in which bit rhs - u marks value u as a sum of the
+    weights of the columns run so far.  Before a column runs, reach is
+    closed under its weight by doubling, reach |= reach >> s for s = w, 2w,
+    4w, ... <= rhs.  A skipped column needs no update: the columns before
+    it reach w, and their sums are closed under addition.  The column then
+    visits only the values v whose predecessor v - w is in reach.  That is
+    exact: v - w < v is already final for this column when v is visited,
+    so if it is outside reach it holds inf, and inf + c is never stored.
+    Formatting reach >> w in binary lists the predecessors u = 0 ... rhs -
+    w in ascending order, one digit each (u = 0 is always reached, so the
+    digits start there), and unlike decimal it has no digit limit.  While
+    the column runs the fill holds these flags, one byte per value.
     """
     best = [inf] * (rhs + 1)
     best[0] = 0
-    columns = _fill_order(weights, costs, rhs)
-    if columns:
-        # a loop, not best[::w] = ..., which would hold two more lists of
-        # rhs // w + 1 pointers while it assigns
-        w, c = columns[0]
-        for v, kc in zip(range(w, rhs + 1, w), accumulate(repeat(c, rhs // w))):
-            best[v] = kc
-    for w, c in columns[1:]:
-        if best[w] <= c:
+    reach = 1 << rhs
+    for i, (w, c) in enumerate(_fill_order(weights, costs, rhs)):
+        if i and best[w] <= c:
             continue
-        for v, prev, cur in zip(count(w), iter(best), islice(best, w, None)):
-            cand = prev + c
-            if cand < cur:
+        s = w
+        while s <= rhs:
+            reach |= reach >> s
+            s <<= 1
+        if not i:
+            # a loop, not best[::w] = ..., which would hold two more lists
+            # of rhs // w + 1 pointers while it assigns
+            for v, kc in zip(range(w, rhs + 1, w), accumulate(repeat(c, rhs // w))):
+                best[v] = kc
+            continue
+        # unnamed, so the flags are freed when the column ends
+        for v in compress(count(w), format(reach >> w, "b").encode().translate(_BITS)):
+            cand = best[v - w] + c
+            if cand < best[v]:
                 best[v] = cand
     return best
 

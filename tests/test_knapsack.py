@@ -396,6 +396,16 @@ def _surrogates():
     yield (1,), 7, (5,)  # best[rhs] is exactly max(costs) * rhs
     yield (3, 1), 9, (0, 0)  # all-zero costs: every reachable entry is 0
     yield (5, 3), 7, (1, 1)  # 7 is no sum of 3s and 5s
+    # reachability bitsets of rhs + 1 = 7, 8, 9, 63, 64, 65 bits; weights
+    # with a common divisor leave values unreachable, and a column of
+    # weight rhs visits one value or none
+    edge = random.Random(1414)
+    for rhs in (6, 7, 8, 62, 63, 64):
+        yield (4, 6, rhs), rhs, (4, 7, 2 * rhs)
+        yield (rhs, 3), rhs, (rhs + 1, 3)
+        yield (9, 6, 15), rhs, tuple(edge.randint(0, 2**110) for _ in range(3))
+    # more than 4,300 decimal digits of bitset, past the str() limit
+    yield (12, 18, 45, 15_000), 15_000, tuple(edge.randint(0, 2**110) for _ in range(4))
     for _ in range(300):
         n = rng.randint(1, 6)
         rhs = rng.choice((0, 1, rng.randint(2, 50), rng.randint(51, 2000)))
@@ -647,13 +657,14 @@ def test_a_dominated_column_runs_no_kernel_and_no_loop(monkeypatch):
     ]
     ref = _index_order_fill(weights, costs, rhs, inf)
     loops = []
-    islice = knapsack.islice
+    compress = knapsack.compress
 
-    def spy_islice(best, w, stop):
-        loops.append(w)
-        return islice(best, w, stop)
+    def spy_compress(values, flags):
+        # one flag per predecessor 0 ... rhs - w
+        loops.append(rhs + 1 - len(flags))
+        return compress(values, flags)
 
-    monkeypatch.setattr(knapsack, "islice", spy_islice)
+    monkeypatch.setattr(knapsack, "compress", spy_compress)
     assert knapsack._fill_python(weights, costs, rhs, inf) == ref
     assert loops == [1000, 4]
     try:
@@ -671,6 +682,40 @@ def test_a_dominated_column_runs_no_kernel_and_no_loop(monkeypatch):
         monkeypatch.setattr(knapsack, name, spy)
     assert list(knapsack._fill_int64(weights, costs, rhs, inf)) == ref
     assert kernels == [("_min_by_rows", 1000), ("_min_by_residues", 4)]
+
+
+def test_a_column_visits_only_values_with_a_reachable_predecessor(monkeypatch):
+    # weights with common factors: after (4, 4) only multiples of 4 are
+    # reached, after (6, 7) every even value but 2, and no column is
+    # dominated, so (6, 7) and (9, 11) both run
+    weights, costs, rhs = (9, 4, 6), (11, 4, 7), 500
+    inf = knapsack._unreachable(costs, rhs)
+    order = knapsack._fill_order(weights, costs, rhs)
+    assert order == [(4, 4), (6, 7), (9, 11)]
+    reach, expected = {0}, []
+    for i, (w, _) in enumerate(order):
+        for u in range(rhs + 1 - w):
+            if u in reach:
+                reach.add(u + w)
+        if i:
+            expected.append(sum(v - w in reach for v in range(w, rhs + 1)))
+    visits = []
+    compress = knapsack.compress
+
+    def spy_compress(values, flags):
+        visits.append(0)
+        for v in compress(values, flags):
+            visits[-1] += 1
+            yield v
+
+    monkeypatch.setattr(knapsack, "compress", spy_compress)
+    assert knapsack._fill_python(weights, costs, rhs, inf) == _index_order_fill(
+        weights, costs, rhs, inf
+    )
+    assert visits == expected
+    # the column of weight 6 visits the even values from 6 to rhs but 8,
+    # since 2 is never reached: half of its values
+    assert expected[0] == (rhs - 6) // 2
 
 
 @pytest.mark.parametrize(
@@ -745,12 +790,12 @@ def test_overflow_proof_boundary(monkeypatch, cost, path):
 
 
 def test_solve_original_without_numpy(monkeypatch):
-    # aggregated rhs 521**2 - 1 over five columns: above the size at which
+    # aggregated rhs 551**2 - 1 over five columns: above the size at which
     # a process without numpy would import it
     inst = IPInstance.from_rows(
-        [[1, 0, 1, 2, 0], [0, 1, 1, 1, 3]], [520, 520], [2, 2, 3, 5, 7]
+        [[1, 0, 1, 2, 0], [0, 1, 1, 1, 3]], [550, 550], [2, 2, 3, 5, 7]
     )
-    assert 5 * 521**2 >= knapsack._NUMPY_COLD_CELLS
+    assert 5 * 551**2 >= knapsack._NUMPY_COLD_CELLS
     usual = solve_original(inst)
     monkeypatch.setitem(sys.modules, "numpy", None)
     ran = _record_fills(monkeypatch)
