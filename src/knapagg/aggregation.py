@@ -17,8 +17,8 @@ minimum-cost point of the original program whenever one exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import ValidationError
 from .instance import IPInstance, Reduction, SENSE_MIN, box_bounds, reduce
@@ -69,34 +69,36 @@ def vertex_lower_bound(x0: Sequence[int]) -> int:
     return out - 1
 
 
-@dataclass(frozen=True)
-class KnapsackInstance:
+class KnapsackInstance(
+    namedtuple(
+        "KnapsackInstance", "weights rhs costs upper_bound shift penalty reduced"
+    )
+):
     """The single-row surrogate of an integer program.
 
-    weights/rhs describe the aggregated equality, costs the penalized
-    objective over the kept columns.  upper_bound, shift and penalty are the
-    L, k, H parameters of the construction.  reduced is the reduction of
-    the instance given to build_knapsack, so its column_map and lift lead
-    from the kept columns back to that instance's coordinates.
+    weights/rhs (int tuple, int) describe the aggregated equality, costs (int
+    tuple) the penalized objective over the kept columns.  The ints
+    upper_bound, shift and penalty are the L, k, H parameters of the
+    construction.  reduced is the Reduction of the instance given to
+    build_knapsack, so its column_map and lift lead from the kept columns
+    back to that instance's coordinates.
     """
 
-    weights: tuple[int, ...]
-    rhs: int
-    costs: tuple[int, ...]
-    upper_bound: int
-    shift: int
-    penalty: int
-    reduced: Reduction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(w <= 0 for w in self.weights):
+    def __new__(cls, weights, rhs, costs, upper_bound, shift, penalty, reduced):
+        if any(w <= 0 for w in weights):
             raise ValidationError("aggregated weights must be positive")
-        if self.rhs < 0:
+        if rhs < 0:
             raise ValidationError("aggregated right-hand side must be nonnegative")
-        if len(self.costs) != len(self.weights):
+        if len(costs) != len(weights):
             raise ValidationError("cost vector must match the weight vector")
-        if any(cv < 0 for cv in self.costs):
+        if any(cv < 0 for cv in costs):
             raise ValidationError("penalized costs must be nonnegative")
+        fields = weights, rhs, costs, upper_bound, shift, penalty, reduced
+        return tuple.__new__(cls, fields)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
 
 def build_knapsack(inst: IPInstance) -> KnapsackInstance:

@@ -18,9 +18,9 @@ import argparse
 import functools
 import sys
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
 
 from .aggregation import aggregate, aggregation_vector, build_knapsack, vertex_lower_bound
 from .errors import (
@@ -87,7 +87,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _render(value: Any, newline_indent: str) -> str:
+def _render(value: object, newline_indent: str) -> str:
     """The JSON text of a report value, in one pass with no intermediate copy.
 
     The text is json.dumps(v, indent=2, sort_keys=True) of the value v with
@@ -96,7 +96,8 @@ def _render(value: Any, newline_indent: str) -> str:
     and tuples alike.  newline_indent is the newline and indentation the
     value's own line starts with.  Any other type, a float above all, raises
     TypeError, so no inexact number reaches a report, and a number too long
-    to write in decimal raises CapExceeded.
+    to write in decimal raises CapExceeded.  Containers must be exactly a
+    list, tuple or dict, so a record, a named tuple, raises too.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -120,12 +121,12 @@ def _render(value: Any, newline_indent: str) -> str:
             f"{sys.get_int_max_str_digits()}-digit limit for decimal integer strings"
         ) from None
     inner = newline_indent + "  "
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         if not value:
             return "[]"
         items = [_render(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline_indent + "]"
-    if isinstance(value, dict):
+    if type(value) is dict:
         if not value:
             return "{}"
         named = {str(k): v for k, v in value.items()}
@@ -393,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _STATUS_EXIT["input_error"]
-    report: dict[str, Any] = {"command": args.cmd}
+    report: dict[str, object] = {"command": args.cmd}
     report["settings"] = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("cmd", "instance")
     }

@@ -12,8 +12,8 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import DimensionMismatch, ParseError, ValidationError
 
@@ -26,9 +26,8 @@ SENSE_MAX = "max"
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
-@dataclass(frozen=True)
-class IPInstance:
-    """One equality-form program.  Rows of A are tuples, all entries ints.
+class IPInstance(namedtuple("IPInstance", "A b c sense")):
+    """One equality-form program: A (Matrix), b and c (Vectors), sense (str).
 
     Invariants enforced on construction: at least one row, rectangular A,
     matching lengths for b and c, A and b nonnegative, sense is "min" or
@@ -37,19 +36,16 @@ class IPInstance:
     be represented; the parser rejects n = 0.
     """
 
-    A: Matrix
-    b: Vector
-    c: Vector
-    sense: str = SENSE_MIN
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.A, tuple) or not all(isinstance(r, tuple) for r in self.A):
+    def __new__(cls, A, b, c, sense=SENSE_MIN):
+        if not isinstance(A, tuple) or not all(isinstance(r, tuple) for r in A):
             raise ValidationError("A must be a tuple of row tuples")
-        m = len(self.A)
+        m = len(A)
         if m == 0:
             raise ValidationError("at least one constraint row is required")
-        n = len(self.A[0])
-        for row in self.A:
+        n = len(A[0])
+        for row in A:
             if len(row) != n:
                 raise ValidationError("rows of A must all have the same length")
             for v in row:
@@ -57,20 +53,23 @@ class IPInstance:
                     raise ValidationError("entries of A must be integers")
                 if v < 0:
                     raise ValidationError("entries of A must be nonnegative")
-        if len(self.b) != m:
+        if len(b) != m:
             raise ValidationError("b must have one entry per row of A")
-        for v in self.b:
+        for v in b:
             if not isinstance(v, int):
                 raise ValidationError("entries of b must be integers")
             if v < 0:
                 raise ValidationError("entries of b must be nonnegative")
-        if len(self.c) != n:
+        if len(c) != n:
             raise ValidationError("c must have one entry per column of A")
-        for v in self.c:
+        for v in c:
             if not isinstance(v, int):
                 raise ValidationError("entries of c must be integers")
-        if self.sense not in (SENSE_MIN, SENSE_MAX):
+        if sense not in (SENSE_MIN, SENSE_MAX):
             raise ValidationError("sense must be 'min' or 'max'")
+        return tuple.__new__(cls, (A, b, c, sense))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @property
     def m(self) -> int:
@@ -94,29 +93,24 @@ class IPInstance:
         return cls(tuple(tuple(row) for row in A), tuple(b), tuple(c), sense)
 
 
-class Evaluation(NamedTuple):
-    residual: Vector
-    objective: int
-    feasible: bool
+Evaluation = namedtuple("Evaluation", "residual objective feasible")
+Evaluation.__doc__ = "residual Ax - b (Vector), objective (int), feasible (bool)."
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(
+    namedtuple("Reduction", "inner column_map dropped zero_columns original_n")
+):
     """An instance with its zero right-hand-side rows and zero columns removed.
 
-    Every index is in original coordinates: column_map[j] is the original
-    index of kept column j, dropped lists the dropped columns in index
-    order, and zero_columns names those of them that are zero in every
-    row; the others are pinned by a zero right-hand-side row.  lift
-    restores original_n coordinates, with zeros where columns were
-    dropped.
+    inner is the reduced IPInstance.  Every index is in original
+    coordinates: column_map[j] is the original index of kept column j,
+    dropped lists the dropped columns in index order, and zero_columns
+    names those of them that are zero in every row (all three tuples of
+    ints); the others are pinned by a zero right-hand-side row.  lift
+    restores original_n coordinates, with zeros where columns were dropped.
     """
 
-    inner: IPInstance
-    column_map: tuple[int, ...]
-    dropped: tuple[int, ...]
-    zero_columns: tuple[int, ...]
-    original_n: int
+    __slots__ = ()
 
     def lift(self, x: Sequence[int]) -> Vector:
         """Map a point over the kept columns back to original coordinates."""
@@ -239,14 +233,11 @@ def box_bounds(inst: IPInstance) -> tuple[int | None, ...]:
     Entry j is min over rows with A[i][j] > 0 of b[i] // A[i][j], or None
     when column j is all zero and the variable is unbounded.
     """
-    upper: list[int | None] = []
-    for j in range(inst.n):
-        col = inst.column(j)
-        if any(v > 0 for v in col):
-            upper.append(min(inst.b[i] // col[i] for i in range(inst.m) if col[i] > 0))
-        else:
-            upper.append(None)
-    return tuple(upper)
+    b = inst.b
+    return tuple(
+        min((bi // v for bi, v in zip(b, col) if v > 0), default=None)
+        for col in zip(*inst.A)
+    )
 
 
 def evaluate(inst: IPInstance, x: Sequence[int]) -> Evaluation:
@@ -257,10 +248,9 @@ def evaluate(inst: IPInstance, x: Sequence[int]) -> Evaluation:
         if not isinstance(v, int) or v < 0:
             raise ValidationError("candidate points must be nonnegative integers")
     residual = tuple(
-        sum(row[j] * x[j] for j in range(inst.n)) - inst.b[i]
-        for i, row in enumerate(inst.A)
+        sum(a * v for a, v in zip(row, x)) - bi for row, bi in zip(inst.A, inst.b)
     )
-    objective = sum(inst.c[j] * x[j] for j in range(inst.n))
+    objective = sum(cj * v for cj, v in zip(inst.c, x))
     return Evaluation(residual, objective, all(r == 0 for r in residual))
 
 

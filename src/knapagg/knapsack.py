@@ -42,8 +42,8 @@ reads the table and the columns in index order only, never the fill order.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import accumulate, compress, count, repeat
 
@@ -56,9 +56,8 @@ INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class SolverBudget:
-    """Caps on table size: the aggregated rhs, and the cell count
+class SolverBudget(namedtuple("SolverBudget", "max_rhs max_cells")):
+    """Caps on table size (ints): the aggregated rhs, and the cell count
     n * (rhs + 1), one cell per column and table value.  That count bounds
     the cells the fill visits; the fill visits fewer, since it skips the
     columns above rhs or dominated by those before them and writes its
@@ -66,37 +65,36 @@ class SolverBudget:
     column it runs, the values whose predecessor is unreachable.
     """
 
-    max_rhs: int = 10_000_000
-    max_cells: int = 1_000_000_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_rhs <= 0 or self.max_cells <= 0:
+    def __new__(cls, max_rhs=10_000_000, max_cells=1_000_000_000):
+        if max_rhs <= 0 or max_cells <= 0:
             raise ValidationError("budget caps must be positive")
+        return tuple.__new__(cls, (max_rhs, max_cells))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
 
-@dataclass(frozen=True)
-class KnapsackSolution:
-    x: tuple[int, ...] | None
-    value: int | None
-    status: str
-    detail: str | None = None
+KnapsackSolution = namedtuple(
+    "KnapsackSolution", "x value status detail", defaults=(None,)
+)
+KnapsackSolution.__doc__ = "x (int tuple) and value (int), None unless OPTIMAL."
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(
+    namedtuple(
+        "Solution", "x objective status residual detail knapsack", defaults=(None,) * 3
+    )
+):
     """Outcome of the full reduce-and-solve pipeline, in original coordinates.
 
-    knapsack is the surrogate that was solved; its reduced.column_map
+    x and residual are tuples of ints and objective an int, or None.
+    knapsack is the KnapsackInstance that was solved; its reduced.column_map
     lists, in original indices, the variables that reached it, and every
     other coordinate of x is zero.
     """
 
-    x: tuple[int, ...] | None
-    objective: int | None
-    status: str
-    residual: tuple[int, ...] | None = None
-    detail: str | None = None
-    knapsack: KnapsackInstance | None = None
+    __slots__ = ()
 
 
 # Table sizes (cells) from which the int64 fill pays off.  Measured on a

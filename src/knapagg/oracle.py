@@ -15,12 +15,12 @@ check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import sub
-from typing import Sequence
 
 from .aggregation import aggregate, aggregation_vector, vertex_lower_bound
 from .errors import CapExceeded, DimensionMismatch, IterationLimit, ValidationError
@@ -34,59 +34,58 @@ DEFAULT_PIVOT_CAP = 100_000
 Witness = tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Distinct integer points of one dimension, in a fixed order."""
+class PointSet(namedtuple("PointSet", "dim points")):
+    """Distinct points (tuple of Points) of one dimension dim, in a fixed order."""
 
-    dim: int
-    points: tuple[Point, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, dim, points):
         seen = set()
-        for p in self.points:
-            if len(p) != self.dim:
+        for p in points:
+            if len(p) != dim:
                 raise DimensionMismatch("point dimension does not match the set")
             if p in seen:
                 raise ValidationError("points must be distinct")
             seen.add(p)
+        return tuple.__new__(cls, (dim, points))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class VertexReport:
+class VertexReport(namedtuple("VertexReport", "points vertices witnesses")):
     """Vertices of conv(points) plus a rational certificate per non-vertex.
 
-    witnesses[p] lists (index into points, weight) pairs with positive
-    weights summing to one whose combination equals p; every cited index
-    refers to a point different from p.
+    points is the PointSet, vertices a tuple of Points, and witnesses a
+    dict, a fresh empty one by default: witnesses[p] lists (index into
+    points, weight) pairs with positive weights summing to one whose
+    combination equals p; every cited index refers to a point other than p.
     """
 
-    points: PointSet
-    vertices: tuple[Point, ...]
-    witnesses: dict[Point, Witness] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, points, vertices, witnesses=None):
+        witnesses = {} if witnesses is None else witnesses
+        return tuple.__new__(cls, (points, vertices, witnesses))
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    status: str
-    value: int | None
-    argmin: tuple[Point, ...]
+BruteForceResult = namedtuple("BruteForceResult", "status value argmin")
+BruteForceResult.__doc__ = "status (str), least value (int or None), argmin (Points)."
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    """Result of one guarantee check.
+class CheckOutcome(
+    namedtuple("CheckOutcome", "holds vacuous counterexample", defaults=(False, None))
+):
+    """Result of one guarantee check: whether the claim holds (bool).
 
-    vacuous marks the case where the feasible set is empty and the claim
-    holds with nothing to test; counterexample carries the offending data
-    when holds is False.
+    vacuous (bool) marks the case where the feasible set is empty and the
+    claim holds with nothing to test; counterexample (dict or None) carries
+    the offending data when holds is False.
     """
 
-    holds: bool
-    vacuous: bool = False
-    counterexample: dict | None = None
+    __slots__ = ()
 
 
 def enumerate_feasible(

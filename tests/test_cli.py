@@ -405,6 +405,32 @@ def test_small_solve_does_not_import_numpy(tmp_path):
     assert result["x"] == ["0", "40", "20"]
 
 
+def test_cli_import_is_eager_and_skips_dataclasses_inspect_and_typing():
+    # every run of the console script pays for this import before its first
+    # row; dataclasses (with inspect) and typing cost about 15 ms of it.
+    # site may import typing itself, so only what the import adds counts.
+    # bench/spans.py finds each module in sys.modules right after this
+    # import, so the package's modules must load with it, not lazily.
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import knapagg.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert added & {"dataclasses", "inspect", "typing"} == set()
+    for name in ("instance", "aggregation", "knapsack", "oracle", "cli"):
+        assert f"knapagg.{name}" in added
+
+
 # sha256 of the stdout of pinned runs, each recorded with an earlier build:
 # `oracle` and `verify` when the exact LP still pivoted over Fraction and
 # verify enumerated the original set three times, the others when the report
@@ -938,6 +964,16 @@ def test_render_matches_the_json_dumps_writer():
         assert _render(value, "\n") == _reference_render(value)
     report = {"a": [1, {"b": ()}], 2: Fraction(-1, 3), "c": {}, "d": [True, 1]}
     assert _render(report, "\n") == _reference_render(report)
+
+
+def test_render_refuses_records():
+    # a record is a named tuple, so a tuple by isinstance; it must not print
+    # as a bare list of its fields
+    for record in (CheckOutcome(True), SolverBudget(), PointSet(1, ((0,),))):
+        with pytest.raises(TypeError):
+            _render(record, "\n")
+        with pytest.raises(TypeError):
+            _render({"k": [1, record]}, "\n")
 
 
 def test_render_refuses_a_float_anywhere():
