@@ -7,8 +7,9 @@ returns its weights as exact fractions.Fraction values, vertex extraction
 with rational witnesses, brute force optima, and executable forms of the
 guarantees the aggregation is supposed to deliver.  Every vertex test
 first looks for a signed lexicographic order under which the point comes
-strictly first, which proves it a vertex by integer comparisons alone;
-only a point without such an order goes to the LP.  These routines are
+strictly first, over the coordinates and then over the pairwise sums and
+differences, which proves it a vertex by integer comparisons alone; only
+a point without such an order goes to the LP.  These routines are
 deliberately independent of the dynamic-programming solver so the two can
 check each other.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from operator import sub
 
@@ -113,7 +114,9 @@ def enumerate_feasible(
     residue class modulo A_pk / g that the modular inverse of A_pj / g
     picks out (extended Euclid) and x_k follows by exact division.  Either
     way only the other rows remain to check.  A single column is solved
-    by division.
+    by division.  One row with three or more columns takes the same search
+    on a scalar residual, with no call per point: the cap is checked
+    against the length of each residue-class range before it is stored.
     """
     m = len(A)
     if m == 0:
@@ -151,16 +154,8 @@ def enumerate_feasible(
 
     order = sorted(range(n), key=lambda j: (bounds[j], j))
 
-    # live[d][i]: some column at depth >= d touches row i
-    live = [[False] * m for _ in range(n + 1)]
-    for d in range(n - 1, -1, -1):
-        col = cols[order[d]]
-        for i in range(m):
-            live[d][i] = live[d + 1][i] or col[i] > 0
-
     found: list[Point] = []
     x = [0] * n
-    resid = list(b)
 
     # the last two variables x_j, x_k, solved together on the pivot row p
     j, k = order[n - 2], order[n - 1]
@@ -173,8 +168,49 @@ def enumerate_feasible(
         det = ajp * akq - akp * ajq
     else:
         g = gcd(ajp, akp)
-        step = akp // g
-        inv = pow(ajp // g, -1, step)
+        step, drop = akp // g, ajp // g
+        inv = pow(drop, -1, step)
+
+    if m == 1 and n > 2:
+        # one row: the residual is one int, every column touches the row,
+        # and the last two variables are solved inside the loop over the
+        # third-last one
+        a = A[0]
+
+        def walk_row(d: int, r: int) -> None:
+            t = order[d]
+            at = a[t]
+            if d < n - 3:
+                for v in range(r // at + 1):
+                    x[t] = v
+                    walk_row(d + 1, r - v * at)
+                return
+            for v in range(r // at + 1):
+                rp = r - v * at
+                if rp % g:
+                    continue
+                us = range(rp // g * inv % step, rp // ajp + 1, step)
+                if len(found) + len(us) > cap:
+                    raise CapExceeded(f"more than {cap} feasible points")
+                x[t] = v
+                w = (rp - us.start * ajp) // akp
+                for u in us:
+                    x[j] = u
+                    x[k] = w
+                    found.append(tuple(x))
+                    w -= drop
+
+        walk_row(0, b[0])
+        found.sort()
+        return PointSet(n, tuple(found))
+
+    # live[d][i]: some column at depth >= d touches row i
+    live = [[False] * m for _ in range(n + 1)]
+    for d in range(n - 1, -1, -1):
+        col = cols[order[d]]
+        for i in range(m):
+            live[d][i] = live[d + 1][i] or col[i] > 0
+    resid = list(b)
     # rows besides p and q that x_j or x_k touch; live[n - 2] already
     # requires a zero residual on every row that neither touches
     rest = [(i, cj[i], ck[i]) for i in range(m) if i not in (p, q) and (cj[i] or ck[i])]
@@ -364,18 +400,30 @@ def _lex_extreme(
     return tuple(order)
 
 
+def _pair_form(p: Point) -> Point:
+    """p's coordinates, then x_a + x_b and x_a - x_b for each a < b."""
+    pairs = list(combinations(p, 2))
+    return (*p, *[u + v for u, v in pairs], *[u - v for u, v in pairs])
+
+
 def _witness(
     p: Point, pool: Sequence[Point], pivot_cap: int
 ) -> tuple[tuple[Point, Fraction], ...] | None:
     """None if p is a vertex of conv(pool), else p's (point, weight) pairs.
 
     p itself is dropped from pool first.  A signed order (_lex_extreme)
-    proves a vertex by integer comparisons alone; any other point goes to
-    check_convex_combination, whose positive weights are cited with their
-    points and whose zero weights are dropped.
+    proves a vertex by integer comparisons alone, first over the
+    coordinates and then over the pair forms of _pair_form.  The pair forms
+    keep the coordinates, so distinct points stay distinct, and an order
+    over forms f_k is the same certificate: d = sum(s_k * M**(K - k) * f_k)
+    separates p strictly.  Any other point goes to check_convex_combination,
+    whose positive weights are cited with their points and whose zero
+    weights are dropped.
     """
     others = [q for q in pool if q != p]
     if _lex_extreme(p, others) is not None:
+        return None
+    if _lex_extreme(_pair_form(p), [_pair_form(q) for q in others]) is not None:
         return None
     lam = check_convex_combination(p, others, pivot_cap)
     if lam is None:
@@ -396,7 +444,8 @@ def vertex_set(
     which every caller passes, those are the points before p, and the pair
     found is the one a scan of the whole set would find first.  Second,
     each survivor that comes strictly first among the current candidate
-    pool under some signed lexicographic order is a vertex, proven by
+    pool under some signed lexicographic order, over its coordinates or
+    over their pairwise sums and differences, is a vertex, proven by
     integer comparisons alone.  Third, every other survivor is tested
     against the pool with the exact LP, which either gives its convex
     weights or proves it a vertex.  Dropping proven non-vertices from the

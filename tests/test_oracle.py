@@ -17,6 +17,7 @@ from knapagg import (
     PointSet,
     ValidationError,
     VertexReport,
+    aggregate,
     brute_force_optimum,
     check_box_injectivity,
     check_convex_combination,
@@ -27,7 +28,7 @@ from knapagg import (
     reduce,
     vertex_set,
 )
-from knapagg.oracle import DEFAULT_PIVOT_CAP, _lex_extreme, _witness
+from knapagg.oracle import DEFAULT_PIVOT_CAP, _lex_extreme, _pair_form, _witness
 
 
 def _brute_points(A, b):
@@ -213,6 +214,61 @@ def test_enumerate_cap_is_the_point_count():
 )
 def test_enumerate_tail_solves_two_rows_in_one_step(A, b, point):
     assert enumerate_feasible(A, b).points == (point,)
+
+
+def _one_row_cases(rng, count):
+    # rows of 1-7 weights in 1-40 with rhs up to about 600, and aggregated
+    # rows of 2x5 instances drawn as the verify-oracle workload draws them;
+    # rows whose search box would be large are drawn again
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.7:
+            a = tuple(rng.randint(1, 40) for _ in range(rng.randint(1, 7)))
+            r = rng.randint(0, 600)
+        else:
+            A = [[rng.randint(0, 3) for _ in range(5)] for _ in range(2)]
+            if not all(A[0][j] or A[1][j] for j in range(5)):
+                continue
+            a, r = aggregate(A, [rng.randint(4, 20) for _ in range(2)])
+            a = tuple(a)
+        box = 1
+        for bound in sorted(r // w for w in a)[:-2]:
+            box *= bound + 1
+        if box <= 400:
+            out.append((a, r))
+    return out
+
+
+def test_one_row_walk_matches_the_multi_row_walk():
+    # the same row twice takes the multi-row walk and its residue-class
+    # tail; the row alone takes the one-row walk from three columns on
+    rng = random.Random(2109)
+    sizes = set()
+    points = 0
+    for a, r in _one_row_cases(rng, 400):
+        one = enumerate_feasible((a,), (r,))
+        assert enumerate_feasible((a, a), (r, r)) == one
+        sizes.add(len(a))
+        points += len(one)
+    assert sizes == set(range(1, 8))
+    assert points > 2000
+
+
+def test_one_row_walk_stops_at_the_same_cap():
+    rng = random.Random(2110)
+    checked = 0
+    for a, r in _one_row_cases(rng, 150):
+        pts = enumerate_feasible((a,), (r,))
+        count = len(pts)
+        if count < 2:
+            continue
+        checked += 1
+        for A, b in (((a,), (r,)), ((a, a), (r, r))):
+            assert enumerate_feasible(A, b, cap=count) == pts
+            with pytest.raises(CapExceeded) as raised:
+                enumerate_feasible(A, b, cap=count - 1)
+            assert str(raised.value) == f"more than {count - 1} feasible points"
+    assert checked > 50
 
 
 def test_point_set_validation():
@@ -615,10 +671,53 @@ def test_lex_extreme_is_a_sound_vertex_certificate():
     assert 800 < certified < 1900
 
 
+def _pair_forms(d):
+    # the coefficient rows of _pair_form's forms, built independently
+    unit = [tuple(int(i == c) for i in range(d)) for c in range(d)]
+    pairs = list(combinations(range(d), 2))
+    sums = [tuple(x + y for x, y in zip(unit[a], unit[b])) for a, b in pairs]
+    diffs = [tuple(x - y for x, y in zip(unit[a], unit[b])) for a, b in pairs]
+    return unit + sums + diffs
+
+
+def test_pair_form_order_is_a_sound_vertex_certificate():
+    rng = random.Random(6021)
+    by_pairs = 0
+    for _ in range(2000):
+        p, others = _random_point_set(rng)
+        d = len(p)
+        if not 2 <= d <= 5 or _lex_extreme(p, others) is not None:
+            continue
+        forms = _pair_forms(d)
+        fp = _pair_form(p)
+        assert fp == tuple(sum(f * v for f, v in zip(row, p)) for row in forms)
+        order = _lex_extreme(fp, [_pair_form(q) for q in others])
+        if order is None:
+            continue
+        by_pairs += 1
+        # d = sum(s_k * M**(K - k) * f_k), mapped back to the coordinates
+        gap = max(abs(a - b) for q in others for a, b in zip(fp, _pair_form(q)))
+        m, k = gap + 1, len(order)
+        direction = [0] * d
+        for i, (t, s) in enumerate(order):
+            for c in range(d):
+                direction[c] += s * m ** (k - 1 - i) * forms[t][c]
+        dp = sum(a * b for a, b in zip(direction, p))
+        for q in others:
+            assert dp > sum(a * b for a, b in zip(direction, q)), (p, q, order)
+        assert _fraction_phase1(p, others, 100_000) is None
+    # the pair stage proves vertices that no coordinate order proves
+    assert by_pairs > 20
+
+
 def test_lp_decides_a_vertex_that_is_not_lex_extreme(monkeypatch):
-    others = [(0, 0), (1, 2), (3, 3)]
-    assert _lex_extreme((2, 1), others) is None
-    assert check_convex_combination((2, 1), others) is None
+    # (2, 4) is a vertex that comes first under no signed order, over the
+    # coordinates or over the pair forms; (5, 3) lies inside the hull
+    pts = PointSet(2, ((0, 2), (0, 3), (2, 4), (5, 3), (5, 5), (6, 3)))
+    others = [q for q in pts.points if q != (2, 4)]
+    assert _lex_extreme((2, 4), others) is None
+    assert _lex_extreme(_pair_form((2, 4)), [_pair_form(q) for q in others]) is None
+    assert check_convex_combination((2, 4), others) is None
     calls = []
     real = knapagg.oracle.check_convex_combination
 
@@ -627,12 +726,29 @@ def test_lp_decides_a_vertex_that_is_not_lex_extreme(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(knapagg.oracle, "check_convex_combination", counted)
-    pts = PointSet(2, ((0, 0), (1, 2), (2, 1), (3, 3)))
-    assert vertex_set(pts).vertices == pts.points
-    # (0, 0) and (3, 3) are lex-extreme; (1, 2) and (2, 1) need the LP
-    assert calls == [(1, 2), (2, 1)]
+    report = vertex_set(pts)
+    assert report.vertices == ((0, 2), (0, 3), (2, 4), (5, 5), (6, 3))
+    assert set(report.witnesses) == {(5, 3)}
+    # every other vertex comes first under an order; only the LP decides
+    # (2, 4), and it gives (5, 3) its weights
+    assert calls == [(2, 4), (5, 3)]
     with pytest.raises(IterationLimit):
         vertex_set(pts, pivot_cap=0)
+
+
+def test_pair_form_order_proves_vertices_without_the_lp(monkeypatch):
+    # (1, 2) and (2, 1) come first under no coordinate order, but x_2 - x_1
+    # and x_1 - x_2 single them out, so no LP runs and no pivot is needed
+    pts = PointSet(2, ((0, 0), (1, 2), (2, 1), (3, 3)))
+    assert _lex_extreme((1, 2), [(0, 0), (2, 1), (3, 3)]) is None
+    assert _lex_extreme((2, 1), [(0, 0), (1, 2), (3, 3)]) is None
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr(knapagg.oracle, "check_convex_combination", no_lp)
+    assert vertex_set(pts).vertices == pts.points
+    assert vertex_set(pts, pivot_cap=0).vertices == pts.points
 
 
 def test_lp_gives_the_witness_of_a_non_vertex():
