@@ -14,15 +14,20 @@ Exit codes: 0 success, 1 infeasible, 2 unbounded, 3 budget or cap exceeded,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 import time
+from argparse import ArgumentParser, Namespace
 from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .aggregation import aggregate, aggregation_vector, build_knapsack, vertex_lower_bound
+from .aggregation import (
+    KnapsackInstance,
+    aggregation_vector,
+    build_knapsack,
+    vertex_lower_bound,
+)
 from .errors import (
     CapExceeded,
     IterationLimit,
@@ -33,12 +38,11 @@ from .errors import (
 )
 from .instance import (
     IPInstance,
-    _parse_int,
     canonicalize_minimize,
     evaluate,
     instance_digest,
     parse_instance,
-    reduce,
+    parse_int,
 )
 from .knapsack import (
     BUDGET_EXCEEDED,
@@ -51,13 +55,13 @@ from .oracle import (
     DEFAULT_PIVOT_CAP,
     DEFAULT_POINT_CAP,
     PointSet,
-    _witness,
     brute_force_optimum,
     check_rhs_lower_bound,
     check_rhs_vertex,
     check_vertex_preservation,
     enumerate_feasible,
     vertex_set,
+    witness,
 )
 
 _STATUS_EXIT = {
@@ -82,7 +86,7 @@ class UsageError(KnapaggError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
+class _Parser(ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
@@ -166,9 +170,8 @@ def _zero_column_reason(cost: int) -> str:
     return f"zero column, negative cost {cost}: unbounded if the kept rows are feasible"
 
 
-def _cmd_aggregate(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_aggregate(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
     core = canonicalize_minimize(inst)
-    kp = build_knapsack(core)
     red = kp.reduced
     result = {
         "aggregating_vector": list(aggregation_vector(red.inner.b)),
@@ -189,11 +192,9 @@ def _cmd_aggregate(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, st
     return result, "ok"
 
 
-def _cmd_solve(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_solve(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
     budget = SolverBudget(max_rhs=args.budget_rhs, max_cells=args.budget_cells)
-    sol = solve_original(inst, budget)
-    kp = sol.knapsack
-    assert kp is not None
+    sol = solve_original(inst, budget, knapsack=kp)
     result = {
         "status": sol.status,
         "x": list(sol.x) if sol.x is not None else None,
@@ -216,17 +217,16 @@ def _cmd_solve(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     return result, status
 
 
-def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_verify(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
     cap = args.cap
-    core = canonicalize_minimize(inst)
-    # the checks run on the reduced instance, the one solve solves
-    inner = reduce(core).inner
+    # the checks run on the reduced instance and the aggregated row solve solves
+    inner = kp.reduced.inner
     rhs_vertex = check_rhs_vertex(inst.b, cap)
     # one enumeration and one hull of the original set serve every check
     hull = vertex_set(enumerate_feasible(inner.A, inner.b, cap))
-    preserved = check_vertex_preservation(inner, hull, cap)
-    lower = check_rhs_lower_bound(inner, hull)
-    sol = solve_original(core)
+    preserved = check_vertex_preservation(kp.weights, kp.rhs, hull, cap)
+    lower = check_rhs_lower_bound(kp.rhs, hull)
+    sol = solve_original(canonicalize_minimize(inst), knapsack=kp)
     oracle = brute_force_optimum(inner, hull.points)
     agree = (
         None  # a solve refused for its budget decides nothing
@@ -257,17 +257,13 @@ def _cmd_verify(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     return {"checks": checks, "falsifications": falsifications}, status
 
 
-def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_bound(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
     point = tuple(
-        _parse_int(v, f"--vertex[{k}]") for k, v in enumerate(args.vertex.split(","))
+        parse_int(v, f"--vertex[{k}]") for k, v in enumerate(args.vertex.split(","))
     )
     ev = evaluate(inst, point)  # raises on bad dimension or negative entries
-    red = reduce(inst)
-    _, a0 = aggregate(red.inner.A, red.inner.b)
-    base = {
-        "point": list(point),
-        "aggregated_rhs": a0,
-    }
+    red = kp.reduced
+    base = {"point": list(point), "aggregated_rhs": kp.rhs}
     if not ev.feasible:
         base["residual"] = list(ev.residual)
         base["is_vertex"] = False
@@ -290,7 +286,7 @@ def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
             return base, "input_error"
     sub_point = tuple(point[j] for j in red.column_map)
     pts = enumerate_feasible(red.inner.A, red.inner.b, args.cap)
-    cited = _witness(sub_point, pts.points, DEFAULT_PIVOT_CAP)
+    cited = witness(sub_point, pts.points, DEFAULT_PIVOT_CAP)
     if cited is not None:
         base["is_vertex"] = False
         base["witness"] = {
@@ -302,23 +298,21 @@ def _cmd_bound(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
     bound = vertex_lower_bound(point)
     base["is_vertex"] = True
     base["product_bound"] = bound
-    base["slack"] = a0 - bound
+    base["slack"] = kp.rhs - bound
     return base, "ok"
 
 
-def _cmd_oracle(inst: IPInstance, args: argparse.Namespace) -> tuple[dict, str]:
-    red = reduce(inst)
-    A, b = red.inner.A, red.inner.b
-    pts = enumerate_feasible(A, b, args.cap)
-    a, a0 = aggregate(A, b)
-    agg = enumerate_feasible((a,), (a0,), args.cap)
+def _cmd_oracle(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
+    inner = kp.reduced.inner
+    pts = enumerate_feasible(inner.A, inner.b, args.cap)
+    agg = enumerate_feasible((kp.weights,), (kp.rhs,), args.cap)
     result = {
         "coordinates": "kept columns only",
-        "columns_kept": list(red.column_map),
+        "columns_kept": list(kp.reduced.column_map),
         "original": _set_block(pts, args.pivot_cap),
         "aggregated": {
-            "row": list(a),
-            "rhs": a0,
+            "row": list(kp.weights),
+            "rhs": kp.rhs,
             **_set_block(agg, args.pivot_cap),
         },
     }
@@ -334,7 +328,7 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> ArgumentParser:
     """A fresh parser of the five subcommands; main keeps one per process."""
     parser = _Parser(prog="knapagg", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -365,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> ArgumentParser:
     # parse_args leaves a parser as it found it: each call gets a new
     # Namespace holding only its own subcommand's defaults
     return build_parser()
@@ -412,7 +406,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             "cols": inst.n,
             "sense": inst.sense,
         }
-        result, status = _HANDLERS[args.cmd](inst, args)
+        # the one surrogate every subcommand reads
+        kp = build_knapsack(canonicalize_minimize(inst))
+        result, status = _HANDLERS[args.cmd](inst, kp, args)
         report["result"] = result
         return _emit(report, status, started)
     except KnapaggError as exc:

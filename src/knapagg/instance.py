@@ -161,7 +161,7 @@ def reduce(inst: IPInstance) -> Reduction:
     return Reduction(inner, tuple(kept), tuple(dropped), zero, inst.n)
 
 
-def _parse_int(raw: object, where: str) -> int:
+def parse_int(raw: object, where: str) -> int:
     if not isinstance(raw, str) or not _INT_RE.match(raw):
         raise ParseError(f"{where}: expected a decimal integer string, got {raw!r}")
     try:
@@ -197,13 +197,13 @@ def parse_instance(text: str | bytes) -> IPInstance:
     if not isinstance(raw_A, list) or not all(isinstance(r, list) for r in raw_A):
         raise ParseError("A must be a list of rows")
     A = tuple(
-        tuple(_parse_int(v, f"A[{i}][{j}]") for j, v in enumerate(row))
+        tuple(parse_int(v, f"A[{i}][{j}]") for j, v in enumerate(row))
         for i, row in enumerate(raw_A)
     )
     if not isinstance(doc["b"], list) or not isinstance(doc["c"], list):
         raise ParseError("b and c must be lists of decimal integer strings")
-    b = tuple(_parse_int(v, f"b[{i}]") for i, v in enumerate(doc["b"]))
-    c = tuple(_parse_int(v, f"c[{j}]") for j, v in enumerate(doc["c"]))
+    b = tuple(parse_int(v, f"b[{i}]") for i, v in enumerate(doc["b"]))
+    c = tuple(parse_int(v, f"c[{j}]") for j, v in enumerate(doc["c"]))
     sense = doc.get("sense", SENSE_MIN)
     if sense not in (SENSE_MIN, SENSE_MAX):
         raise ParseError("sense must be 'min' or 'max'")

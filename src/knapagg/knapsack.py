@@ -388,7 +388,9 @@ def solve_knapsack(
 
 
 def solve_original(
-    inst: IPInstance, budget: SolverBudget | None = None
+    inst: IPInstance,
+    budget: SolverBudget | None = None,
+    knapsack: KnapsackInstance | None = None,
 ) -> Solution:
     """Reduce, solve the surrogate, and certify the answer on the original.
 
@@ -400,9 +402,11 @@ def solve_original(
     and accept it only if it satisfies Ax = b.  The penalty margin makes a
     minimizer that misses b certify the program infeasible, with residual;
     a feasible program with a negative-cost zero column is unbounded.
+    knapsack, when given, must be build_knapsack(canonicalize_minimize(inst));
+    it is solved as it is, neither built again nor checked.
     """
     core = canonicalize_minimize(inst)
-    kp = build_knapsack(core)
+    kp = build_knapsack(core) if knapsack is None else knapsack
     sol = solve_knapsack(kp, budget)
     if sol.x is None:
         return Solution(None, None, sol.status, detail=sol.detail, knapsack=kp)

@@ -23,7 +23,7 @@ from itertools import combinations, product
 from math import gcd
 from operator import sub
 
-from .aggregation import aggregate, aggregation_vector, vertex_lower_bound
+from .aggregation import aggregation_vector, vertex_lower_bound
 from .errors import CapExceeded, DimensionMismatch, IterationLimit, ValidationError
 from .instance import IPInstance
 
@@ -406,7 +406,7 @@ def _pair_form(p: Point) -> Point:
     return (*p, *[u + v for u, v in pairs], *[u - v for u, v in pairs])
 
 
-def _witness(
+def witness(
     p: Point, pool: Sequence[Point], pivot_cap: int
 ) -> tuple[tuple[Point, Fraction], ...] | None:
     """None if p is a vertex of conv(pool), else p's (point, weight) pairs.
@@ -482,7 +482,7 @@ def vertex_set(
     pool = list(survivors)
     vertices: list[Point] = []
     for p in survivors:
-        cited = _witness(p, pool, pivot_cap)
+        cited = witness(p, pool, pivot_cap)
         if cited is None:
             vertices.append(p)
         else:
@@ -544,19 +544,21 @@ def check_rhs_vertex(
         return False
     if all(v > 0 for v in bt) and minimizers != [bt]:
         return False
-    return _witness(bt, pts.points, pivot_cap) is None
+    return witness(bt, pts.points, pivot_cap) is None
 
 
 def check_vertex_preservation(
-    inst: IPInstance,
+    a: Sequence[int],
+    a0: int,
     report: VertexReport,
     cap: int = DEFAULT_POINT_CAP,
     pivot_cap: int = DEFAULT_PIVOT_CAP,
 ) -> CheckOutcome:
     """Every vertex of the original hull stays a vertex after aggregation.
 
-    report is vertex_set of the original feasible set.  Enumerates the
-    aggregated feasible set (the instance must be free of zero columns) and
+    a . x = a0 is the aggregated row, as aggregate or build_knapsack gives
+    it, and report is vertex_set of the original feasible set.  Enumerates
+    the aggregated feasible set (every entry of a must be positive) and
     proves each original vertex lies outside the hull of the other
     aggregated points.  An empty feasible set reports vacuous success.  A
     negative pivot_cap raises ValidationError first.
@@ -565,10 +567,9 @@ def check_vertex_preservation(
         raise ValidationError("pivot cap must be nonnegative")
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
-    a, a0 = aggregate(inst.A, inst.b)
     agg = enumerate_feasible((a,), (a0,), cap)
     for v in report.vertices:
-        cited = _witness(v, agg.points, pivot_cap)
+        cited = witness(v, agg.points, pivot_cap)
         if cited is not None:
             return CheckOutcome(
                 False,
@@ -582,15 +583,14 @@ def check_vertex_preservation(
     return CheckOutcome(True)
 
 
-def check_rhs_lower_bound(inst: IPInstance, report: VertexReport) -> CheckOutcome:
-    """The aggregated rhs dominates prod(v_i + 1) - 1 at every original vertex.
+def check_rhs_lower_bound(a0: int, report: VertexReport) -> CheckOutcome:
+    """The aggregated rhs a0 dominates prod(v_i + 1) - 1 at every original vertex.
 
     report is vertex_set of the original feasible set; an empty set reports
     vacuous success.
     """
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
-    _, a0 = aggregate(inst.A, inst.b)
     for v in report.vertices:
         bound = vertex_lower_bound(v)
         if a0 < bound:

@@ -88,15 +88,15 @@ def _criterion1(instances: list[IPInstance]) -> dict:
     for inst in instances:
         sub = _geometry(inst)
         hull = vertex_set(enumerate_feasible(sub.A, sub.b))
-        preserved = check_vertex_preservation(sub, hull)
-        lower = check_rhs_lower_bound(sub, hull)
+        a, a0 = aggregate(sub.A, sub.b)
+        preserved = check_vertex_preservation(a, a0, hull)
+        lower = check_rhs_lower_bound(a0, hull)
         injective = True
         vertex_count = 0
         if preserved.vacuous:
             vacuous += 1
         else:
             feasible += 1
-            a, a0 = aggregate(sub.A, sub.b)
             report = vertex_set(enumerate_feasible((a,), (a0,)))
             vertex_count = len(report.vertices)
             for v in report.vertices:
@@ -229,8 +229,8 @@ def _criterion5(tmp_dir) -> dict:
     red = reduce(inst)
     box = box_bounds(red.inner)
     hull = vertex_set(enumerate_feasible(red.inner.A, red.inner.b))
-    preserved = check_vertex_preservation(red.inner, hull)
-    lower = check_rhs_lower_bound(red.inner, hull)
+    preserved = check_vertex_preservation(kp.weights, kp.rhs, hull)
+    lower = check_rhs_lower_bound(kp.rhs, hull)
     path = tmp_dir / "demo.json"
     path.write_text(DEMO_TEXT)
     solve_code, solve_out = _run_cli(["solve", str(path)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import knapagg
 import knapagg.aggregation
 import knapagg.cli
+import knapagg.instance
 import knapagg.knapsack
 import knapagg.oracle
 from knapagg import (
@@ -23,12 +25,12 @@ from knapagg import (
     PointSet,
     SolverBudget,
     brute_force_optimum,
+    build_knapsack,
     canonicalize_minimize,
     check_rhs_lower_bound,
     check_rhs_vertex,
     check_vertex_preservation,
     enumerate_feasible,
-    reduce,
     serialize_instance,
     solve_original,
     vertex_set,
@@ -521,19 +523,47 @@ def test_report_bytes_are_pinned(tmp_path, capsys, case, cmd):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[case, cmd]
 
 
-def _count_calls(monkeypatch, name):
-    # the oracle's own calls and the CLI's, through its imported names
+def _count_calls(monkeypatch, fn):
+    # every knapagg module that binds fn, so calls through any import count
     calls = []
-    real = getattr(knapagg.oracle, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
 
-    for module in (knapagg.oracle, knapagg.cli):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, counted)
+    for name, module in list(sys.modules.items()):
+        if name == "knapagg" or name.startswith("knapagg."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.mark.parametrize("cmd", ["aggregate", "solve", "verify", "bound", "oracle"])
+@pytest.mark.parametrize("case", sorted(set(PINNED) - {"malformed"}))
+def test_each_call_runs_the_pipeline_once(tmp_path, capsys, monkeypatch, case, cmd):
+    stages = (knapagg.instance.reduce, knapagg.aggregation.aggregate,
+              knapagg.aggregation.build_knapsack)
+    counts = [_count_calls(monkeypatch, fn) for fn in stages]
+    argv, _ = _pinned_run(tmp_path, case, cmd)
+    if cmd == "bound" and "--vertex" not in argv:
+        argv += ["--vertex", ",".join("0" * len(PINNED[case]["c"]))]
+    main(argv)
+    assert json.loads(capsys.readouterr().out)["command"] == cmd
+    assert [len(calls) for calls in counts] == [1, 1, 1]
+
+
+def test_cli_imports_no_private_name():
+    tree = ast.parse(Path(knapagg.cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.partition(".")[0] == "knapagg")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 # b = (2, 0, 3): the zero row pins columns 1 and 2, leaving 4 x0 = 11
@@ -692,22 +722,14 @@ def test_verify_checks_the_restricted_rows_and_rhs_vertex_the_given_b(
 def test_verify_enumerates_and_hulls_the_original_set_once(
     tmp_path, capsys, monkeypatch, case, hulls, enumerations
 ):
-    hulled = _count_calls(monkeypatch, "vertex_set")
-    enumerated = _count_calls(monkeypatch, "enumerate_feasible")
-    built = []
-    real_build = knapagg.aggregation.build_knapsack
-
-    def counted_build(inst):
-        built.append(inst)
-        return real_build(inst)
-
-    for module in (knapagg.cli, knapagg.knapsack):
-        monkeypatch.setattr(module, "build_knapsack", counted_build)
+    hulled = _count_calls(monkeypatch, knapagg.oracle.vertex_set)
+    enumerated = _count_calls(monkeypatch, knapagg.oracle.enumerate_feasible)
+    built = _count_calls(monkeypatch, knapagg.aggregation.build_knapsack)
     code, rep = _run(capsys, ["verify", _write(tmp_path, PINNED[case])])
     assert code == 0 and rep["status"] == "ok"
     assert len(hulled) == hulls
     assert len(enumerated) == enumerations
-    assert len(built) == 1  # the surrogate is built once, by solve_original
+    assert len(built) == 1  # the surrogate is built once, by main
 
 
 def _as_report(value):
@@ -742,10 +764,11 @@ def test_verify_checks_equal_the_public_checks(tmp_path, capsys):
         assert code == 0, rep
 
         core = canonicalize_minimize(inst)
-        inner = reduce(core).inner
+        kp = build_knapsack(core)
+        inner = kp.reduced.inner
         hull = vertex_set(enumerate_feasible(inner.A, inner.b))
-        preserved = check_vertex_preservation(inner, hull)
-        lower = check_rhs_lower_bound(inner, hull)
+        preserved = check_vertex_preservation(kp.weights, kp.rhs, hull)
+        lower = check_rhs_lower_bound(kp.rhs, hull)
         sol = solve_original(core)
         oracle = brute_force_optimum(inner, hull.points)
         agree = (
@@ -791,7 +814,7 @@ def test_lex_certificate_leaves_vertex_reports_unchanged(monkeypatch):
 
 
 def test_lex_certificate_leaves_reports_unchanged(tmp_path, capsys, monkeypatch):
-    lp_calls = _count_calls(monkeypatch, "check_convex_combination")
+    lp_calls = _count_calls(monkeypatch, knapagg.oracle.check_convex_combination)
 
     def reports():
         out = []

@@ -95,7 +95,7 @@ def test_report_corpus_is_pinned(tmp_path, name):
 def test_report_corpus_holds_without_numpy(tmp_path, monkeypatch, name):
     # only a table the int64 fill could take can differ between the legs;
     # with no numpy installed, the test above already ran numpy-free
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     big = [
         case for case in _small(_cases(name))
         if case.cells >= knapsack._NUMPY_WARM_CELLS

@@ -16,6 +16,7 @@ from knapagg import (
     UnboundedProblem,
     ValidationError,
     build_knapsack,
+    canonicalize_minimize,
     evaluate,
     reduce,
     solve_knapsack,
@@ -323,6 +324,31 @@ def test_solve_original_zero_rhs_row_can_prove_infeasibility():
     assert sol.status == INFEASIBLE
 
 
+def _solved(inst, **kwargs):
+    try:
+        return solve_original(inst, **kwargs)
+    except UnboundedProblem as exc:
+        return str(exc)
+
+
+def test_solve_original_given_its_surrogate_solves_it_alike():
+    rng = random.Random(2311)
+    for sense in ("min", "max"):
+        statuses = set()
+        for _ in range(60):
+            m, n = rng.randint(1, 3), rng.randint(1, 4)
+            A = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
+            b = [rng.randint(0, 5) for _ in range(m)]
+            c = [rng.randint(-5, 5) for _ in range(n)]
+            inst = IPInstance.from_rows(A, b, c, sense)
+            kp = build_knapsack(canonicalize_minimize(inst))
+            given = _solved(inst, knapsack=kp)
+            assert given == _solved(inst)
+            assert isinstance(given, str) or given.knapsack is kp
+            statuses.add(given if isinstance(given, str) else given.status)
+        assert {OPTIMAL, INFEASIBLE} <= statuses and len(statuses) > 2
+
+
 def test_solve_original_keeps_its_bookkeeping_in_original_coordinates():
     # column 1 is pinned by the zero row and column 2 is zero everywhere;
     # every map, the dropped list and the lift speak of the 4 columns given
@@ -456,7 +482,7 @@ def _record_fills(monkeypatch):
 
 
 def test_int64_fill_matches_python_fill_on_random_surrogates():
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     rng = random.Random(4242)
     infeasible = 0
     for _ in range(200):
@@ -473,7 +499,7 @@ def test_int64_fill_matches_python_fill_on_random_surrogates():
 
 
 def test_int64_fill_edge_tables():
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     assert _int64_agrees_with_python((2, 5), 0, (1, 1)) == (0, (0, 0))
     assert _int64_agrees_with_python((7, 9), 5, (1, 1)) == (None, None)
     assert _int64_agrees_with_python((2, 4), 999, (3, 1)) == (None, None)
@@ -481,7 +507,7 @@ def test_int64_fill_edge_tables():
 
 
 def test_int64_fill_keeps_tie_rule_at_scale():
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     # narrow columns over a table of several blocks
     rhs = 2 * knapsack._BLOCK_VALUES + 11
     assert _int64_agrees_with_python((3, 5, 7), rhs, (1, 1, 1)) == (
@@ -534,7 +560,7 @@ def _one_column(best, w, c):
 
 @pytest.mark.parametrize("block", [None, 1024])
 def test_int64_kernels_match_python_fill_around_the_row_weight(monkeypatch, block):
-    np = pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     if block is not None:
         # blocks of a few rows: narrow columns cross many block boundaries,
         # and a last block can be shorter than one row
@@ -722,7 +748,7 @@ def test_a_column_visits_only_values_with_a_reachable_predecessor(monkeypatch):
     ("cost", "path"), [(2**48 - 1, "_fill_int64"), (2**48, "_fill_python")]
 )
 def test_overflow_proof_boundary_on_a_wide_column(monkeypatch, cost, path):
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     # rhs + 1 = 2**14, so the sentinel is 2**62 - 2**14 + 1 or 2**62 + 1.
     # The cheap column of weight 3 goes first and reaches only multiples of
     # 3, so the wide column runs row by row, and every value it cannot hit
@@ -756,7 +782,7 @@ def test_overflow_proof_boundary_on_a_wide_column(monkeypatch, cost, path):
 
 
 def test_int64_fill_runs_above_the_threshold(monkeypatch):
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     rng = random.Random(99)
     rhs = knapsack._NUMPY_COLD_CELLS // 6
     weights = (1, *(rng.randint(2, rhs) for _ in range(5)))
@@ -774,7 +800,7 @@ def test_int64_fill_runs_above_the_threshold(monkeypatch):
     ("cost", "path"), [(2**48 - 1, "_fill_int64"), (2**48, "_fill_python")]
 )
 def test_overflow_proof_boundary(monkeypatch, cost, path):
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     # rhs + 1 = 2**14, so the sentinel max(costs) * (rhs + 1) + 1 is
     # 2**62 - 2**14 + 1 or 2**62 + 1.  Both columns tie everywhere, so the
     # tie rule fills the first one up to a value just under 2**62.

@@ -28,7 +28,7 @@ from knapagg import (
     reduce,
     vertex_set,
 )
-from knapagg.oracle import DEFAULT_PIVOT_CAP, _lex_extreme, _pair_form, _witness
+from knapagg.oracle import DEFAULT_PIVOT_CAP, _lex_extreme, _pair_form, witness
 
 
 def _brute_points(A, b):
@@ -325,9 +325,8 @@ def test_negative_pivot_cap_is_refused_before_any_work(monkeypatch):
         check_convex_combination((1,), [(0,), (2,)], pivot_cap=-1)
     with pytest.raises(ValidationError):
         check_rhs_vertex((1, 1), pivot_cap=-1)
-    inst = IPInstance.from_rows([[1, 1]], [2], [0, 0])
     with pytest.raises(ValidationError):
-        check_vertex_preservation(inst, VertexReport(pts, ()), pivot_cap=-1)
+        check_vertex_preservation((1, 1), 2, VertexReport(pts, ()), pivot_cap=-1)
     # zero pivots stays valid: the midpoint pass decides (1,) without an LP
     monkeypatch.undo()
     assert check_convex_combination((3,), [], pivot_cap=0) is None
@@ -541,7 +540,7 @@ def _full_scan_vertex_set(points, pivot_cap=DEFAULT_PIVOT_CAP):
     pool = list(survivors)
     vertices = []
     for p in survivors:
-        cited = _witness(p, pool, pivot_cap)
+        cited = witness(p, pool, pivot_cap)
         if cited is None:
             vertices.append(p)
         else:
@@ -579,9 +578,9 @@ def test_midpoint_half_scan_on_unsorted_sets(monkeypatch):
 
     def recording(p, pool, pivot_cap):
         tested.append(p)
-        return _witness(p, pool, pivot_cap)
+        return witness(p, pool, pivot_cap)
 
-    monkeypatch.setattr(knapagg.oracle, "_witness", recording)
+    monkeypatch.setattr(knapagg.oracle, "witness", recording)
     rng = random.Random(4418)
     for pts in _midpoint_sets(rng, 200):
         rng.shuffle(pts)
@@ -756,7 +755,7 @@ def test_lp_gives_the_witness_of_a_non_vertex():
     # pass would take it; the vertex test itself must fall back to the LP
     square = [(0, 0), (2, 0), (0, 2), (2, 2)]
     assert _lex_extreme((1, 1), square) is None
-    cited = _witness((1, 1), square, DEFAULT_PIVOT_CAP)
+    cited = witness((1, 1), square, DEFAULT_PIVOT_CAP)
     assert cited is not None
     lam = check_convex_combination((1, 1), square)
     assert cited == tuple((q, w) for q, w in zip(square, lam) if w)
@@ -836,13 +835,13 @@ def test_rhs_vertex_needs_no_lp(monkeypatch):
 
 def test_vertex_preservation_demo():
     inst = IPInstance.from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1])
-    out = check_vertex_preservation(inst, _hull(inst))
+    out = check_vertex_preservation(*aggregate(inst.A, inst.b), _hull(inst))
     assert out.holds and not out.vacuous
 
 
 def test_vertex_preservation_vacuous_on_empty_set():
     inst = IPInstance.from_rows([[1, 0], [0, 2]], [1, 1], [0, 0])
-    out = check_vertex_preservation(inst, _hull(inst))
+    out = check_vertex_preservation(*aggregate(inst.A, inst.b), _hull(inst))
     assert out.holds and out.vacuous
 
 
@@ -858,21 +857,22 @@ def test_checks_on_an_empty_set():
     empty = PointSet(2, ())
     assert _points(inst) == empty
     report = vertex_set(empty)
-    assert check_vertex_preservation(inst, report) == CheckOutcome(True, vacuous=True)
-    assert check_rhs_lower_bound(inst, report) == CheckOutcome(True, vacuous=True)
+    a, a0 = aggregate(inst.A, inst.b)
+    assert check_vertex_preservation(a, a0, report) == CheckOutcome(True, vacuous=True)
+    assert check_rhs_lower_bound(a0, report) == CheckOutcome(True, vacuous=True)
     assert brute_force_optimum(inst, empty) == BruteForceResult("infeasible", None, ())
 
 
 def test_rhs_lower_bound_demo():
     inst = IPInstance.from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 1, 1])
-    out = check_rhs_lower_bound(inst, _hull(inst))
+    out = check_rhs_lower_bound(aggregate(inst.A, inst.b)[1], _hull(inst))
     assert out.holds and not out.vacuous
 
 
 def test_rhs_lower_bound_tight_case():
     # the bound is attained at the vertex (1, 0, 1): product 4 - 1 = rhs 3
     inst = IPInstance.from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], [0, 0, 0])
-    out = check_rhs_lower_bound(inst, _hull(inst))
+    out = check_rhs_lower_bound(aggregate(inst.A, inst.b)[1], _hull(inst))
     assert out.holds
 
 
@@ -881,7 +881,7 @@ def test_vertex_preservation_cites_the_aggregated_combination():
     # aggregated set (0, 2), (1, 1), (2, 0) holds it as a midpoint
     inst = IPInstance.from_rows([[1, 1]], [2], [0, 0])
     report = VertexReport(PointSet(2, ((1, 1),)), ((1, 1),))
-    out = check_vertex_preservation(inst, report)
+    out = check_vertex_preservation(*aggregate(inst.A, inst.b), report)
     assert not out.holds and not out.vacuous
     half = Fraction(1, 2)
     assert out.counterexample == {
@@ -896,7 +896,7 @@ def test_rhs_lower_bound_reports_the_violated_product():
     # a report claiming vertex (2, 2) of x1 + x2 = 2: prod(3, 3) - 1 = 8 > 2
     inst = IPInstance.from_rows([[1, 1]], [2], [0, 0])
     report = VertexReport(PointSet(2, ((2, 2),)), ((2, 2),))
-    out = check_rhs_lower_bound(inst, report)
+    out = check_rhs_lower_bound(aggregate(inst.A, inst.b)[1], report)
     assert not out.holds and not out.vacuous
     assert out.counterexample == {
         "vertex": (2, 2),
@@ -932,8 +932,9 @@ def test_checks_hold_on_random_instances():
         b = [rng.randint(0, 4) for _ in range(m)]
         inst = IPInstance.from_rows(A, b, [0] * n)
         hull = _hull(inst)
-        pre = check_vertex_preservation(inst, hull)
-        low = check_rhs_lower_bound(inst, hull)
+        a, a0 = aggregate(inst.A, inst.b)
+        pre = check_vertex_preservation(a, a0, hull)
+        low = check_rhs_lower_bound(a0, hull)
         assert pre.holds and low.holds
         if not pre.vacuous:
             nonvacuous += 1
