@@ -81,12 +81,17 @@ _ERROR_STATUS = (
     ((ParseError, ValidationError), "input_error"),
 )
 
+# the argv fields that route a call; every other one is a report setting
+_ROUTING = ("cmd", "instance")
+
 
 class UsageError(KnapaggError):
     pass
 
 
 class _Parser(ArgumentParser):
+    commands: dict[str, ArgumentParser]  # top level: each subcommand's parser
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
@@ -103,14 +108,35 @@ def _render(value: object, newline_indent: str) -> str:
     to write in decimal raises CapExceeded.  Containers must be exactly a
     list, tuple or dict, so a record, a named tuple, raises too.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    # exact types first; subclasses and the rest take the isinstance tests
+    if kind is str:
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if kind is not int:
+        inner = newline_indent + "  "
+        if kind is dict:
+            if not value:
+                return "{}"
+            if not all(type(k) is str for k in value):
+                value = {str(k): v for k, v in value.items()}
+            items = [
+                encode_basestring_ascii(k) + ": " + _render(value[k], inner)
+                for k in sorted(value)
+            ]
+            return "{" + inner + ("," + inner).join(items) + newline_indent + "}"
+        if kind is list or kind is tuple:
+            if not value:
+                return "[]"
+            items = [_render(v, inner) for v in value]
+            return "[" + inner + ("," + inner).join(items) + newline_indent + "]"
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
     try:
         if isinstance(value, int):
             return '"%d"' % value
@@ -124,21 +150,6 @@ def _render(value: object, newline_indent: str) -> str:
             "a value derived from the input is past the "
             f"{sys.get_int_max_str_digits()}-digit limit for decimal integer strings"
         ) from None
-    inner = newline_indent + "  "
-    if type(value) in (list, tuple):
-        if not value:
-            return "[]"
-        items = [_render(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline_indent + "]"
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        named = {str(k): v for k, v in value.items()}
-        items = [
-            encode_basestring_ascii(k) + ": " + _render(named[k], inner)
-            for k in sorted(named)
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline_indent + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -355,11 +366,12 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP)
     p.add_argument("--pivot-cap", type=int, default=DEFAULT_PIVOT_CAP)
 
+    parser.commands = sub.choices
     return parser
 
 
 @functools.cache
-def _parser() -> ArgumentParser:
+def _parser() -> _Parser:
     # parse_args leaves a parser as it found it: each call gets a new
     # Namespace holding only its own subcommand's defaults
     return build_parser()
@@ -383,14 +395,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     library call; the argument parser is built on the first call and reused.
     """
     started = time.monotonic()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in parser.commands:  # straight to the subcommand's parser
+            args = parser.commands[argv[0]].parse_args(argv[1:], Namespace(cmd=argv[0]))
+        else:
+            args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _STATUS_EXIT["input_error"]
     report: dict[str, object] = {"command": args.cmd}
     report["settings"] = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("cmd", "instance")
+        k: v for k, v in sorted(vars(args).items()) if k not in _ROUTING
     }
     try:
         with open(args.instance, "rb") as fh:

@@ -185,8 +185,8 @@ def parse_instance(text: str | bytes) -> IPInstance:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:
-        # a JSONDecodeError, or a bare JSON integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, a bare integer past the digit limit, or too deep nesting
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
@@ -212,15 +212,18 @@ def parse_instance(text: str | bytes) -> IPInstance:
     return IPInstance(A, b, c, sense)
 
 
+def _strings(values: Vector) -> str:
+    # the JSON list of the decimal strings, which need no escaping
+    return '["' + '","'.join(map(str, values)) + '"]' if values else "[]"
+
+
 def serialize_instance(inst: IPInstance) -> str:
     """Canonical compact JSON, inverse of parse_instance up to whitespace."""
-    doc = {
-        "A": [[str(v) for v in row] for row in inst.A],
-        "b": [str(v) for v in inst.b],
-        "c": [str(v) for v in inst.c],
-        "sense": inst.sense,
-    }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    # the text json.dumps writes with sort_keys and no spaces
+    return (
+        f'{{"A":[{",".join(map(_strings, inst.A))}],"b":{_strings(inst.b)},'
+        f'"c":{_strings(inst.c)},"sense":"{inst.sense}"}}'
+    )
 
 
 def instance_digest(inst: IPInstance) -> str:

@@ -35,7 +35,7 @@ from knapagg import (
     solve_original,
     vertex_set,
 )
-from knapagg.cli import _render, main
+from knapagg.cli import UsageError, _render, build_parser, main
 from knapagg.oracle import DEFAULT_POINT_CAP
 
 DEMO = {
@@ -929,6 +929,101 @@ def test_main_reuses_one_parser_and_leaks_no_state(tmp_path, capsys, monkeypatch
     assert len(built) == 1
 
 
+# argv shapes main must parse exactly as the top-level parser does; INSTANCE
+# stands for a valid instance file
+INSTANCE = "<instance>"
+ARGV_SHAPES = [
+    [],
+    ["aggregate", INSTANCE],
+    ["aggregate"],
+    ["aggregate", INSTANCE, "extra"],
+    ["solve", INSTANCE],
+    ["solve", INSTANCE, "--budget-rhs", "5", "--budget-cells", "7"],
+    ["solve", "--budget-r", "5", INSTANCE],
+    ["solve", INSTANCE, "--budget", "5"],
+    ["solve", INSTANCE, "--budget-rhs"],
+    ["solve", INSTANCE, "--frobnicate"],
+    ["solve", INSTANCE, "solve"],
+    ["solve", "--", INSTANCE],
+    ["verify", INSTANCE],
+    ["verify", INSTANCE, "--cap=3"],
+    ["verify", INSTANCE, "--cap", "-1"],
+    ["verify", INSTANCE, "--cap", "x"],
+    ["verify", INSTANCE, "--cap", "3", "--cap", "5"],
+    ["bound", INSTANCE, "--vertex", "0,1,0"],
+    ["bound", INSTANCE],
+    ["bound", "--vertex=1,0,0", INSTANCE, "--cap", "4"],
+    ["oracle", INSTANCE],
+    ["oracle", INSTANCE, "--piv", "2"],
+    ["oracle", INSTANCE, "--pivot-cap", "-1", "--cap", "9"],
+    ["oracle", INSTANCE, "--vertex", "1"],
+    ["bogus", INSTANCE],
+    ["solv", INSTANCE],
+    ["--cap", "3", "solve", INSTANCE],
+]
+
+
+@pytest.mark.parametrize("shape", ARGV_SHAPES, ids=lambda shape: " ".join(shape) or "(none)")
+def test_main_parses_argv_as_the_top_level_parser_does(tmp_path, capsys, monkeypatch, shape):
+    argv = [_write(tmp_path, DEMO) if a == INSTANCE else a for a in shape]
+    try:
+        want = vars(build_parser().parse_args(argv))
+    except UsageError as exc:
+        want = f"usage error: {exc}\n"
+    seen = []
+
+    def handler(inst, kp, args):
+        seen.append(vars(args))
+        return {}, "ok"
+
+    for name in knapagg.cli._HANDLERS:
+        monkeypatch.setitem(knapagg.cli._HANDLERS, name, handler)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if isinstance(want, str):
+        assert (code, out, err) == (4, "", want)
+    else:
+        assert (code, seen) == (0, [want])
+
+
+@pytest.mark.parametrize(
+    "shape", [["-h"], ["--help"], ["solve", "-h"], ["oracle", INSTANCE, "--help"]]
+)
+def test_help_is_the_top_level_parsers_help(tmp_path, capsys, shape):
+    argv = [_write(tmp_path, DEMO) if a == INSTANCE else a for a in shape]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    want = capsys.readouterr().out
+    assert want.startswith("usage: knapagg")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == want
+
+
+def test_a_routing_option_stays_out_of_settings(tmp_path, capsys, monkeypatch):
+    # an option that only routes output, such as a trace file, must leave
+    # every report as it was once it is named with cmd and instance
+    parser = build_parser()
+    for sub in parser.commands.values():
+        sub.add_argument("--trace-file")
+    monkeypatch.setattr(knapagg.cli, "_parser", lambda: parser)
+
+    def digests():
+        out = {}
+        for case, cmd in sorted(PINNED_SHA256):
+            argv, code = _pinned_run(tmp_path, case, cmd)
+            assert main([*argv, "--trace-file", str(tmp_path / "trace")]) == code
+            out[case, cmd] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        return out
+
+    unlisted = digests()
+    assert all(unlisted[key] != PINNED_SHA256[key] for key in PINNED_SHA256)
+    monkeypatch.setattr(knapagg.cli, "_ROUTING", (*knapagg.cli._ROUTING, "trace_file"))
+    assert digests() == PINNED_SHA256
+
+
 def _reference_jsonable(value):
     # the report writer before _render, kept as the reference it must match
     if isinstance(value, bool) or value is None or isinstance(value, str):
@@ -987,6 +1082,22 @@ def test_render_matches_the_json_dumps_writer():
         assert _render(value, "\n") == _reference_render(value)
     report = {"a": [1, {"b": ()}], 2: Fraction(-1, 3), "c": {}, "d": [True, 1]}
     assert _render(report, "\n") == _reference_render(report)
+
+    # subclasses and mixed keys miss the exact-type branches
+    class Text(str):
+        pass
+
+    class Count(int):
+        pass
+
+    for value in (
+        Text("é\n"),
+        Count(-7),
+        [Text("x"), Count(10**40), (Count(0),)],
+        {3: "a", "b": Count(2), -1: {"c": Text("d")}},
+        {Text("k"): 1, "j": [2]},
+    ):
+        assert _render(value, "\n") == _reference_render(value)
 
 
 def test_render_refuses_records():

@@ -73,6 +73,7 @@ def test_parse_rejects_negative_rhs():
         json.dumps(dict(DEMO, b=["0x1", "1"])),                # not decimal
         json.dumps(dict(DEMO, A="rows")),                      # wrong type
         json.dumps(dict(DEMO, sense="maximize")),              # bad sense
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-past-the-recursion-limit"),
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -115,6 +116,48 @@ def test_serialize_round_trip():
     inst = parse_instance(json.dumps(DEMO))
     again = parse_instance(serialize_instance(inst))
     assert again == inst
+
+
+def _reference_serialize(inst):
+    # the canonical text before it was written directly
+    doc = {
+        "A": [[str(v) for v in row] for row in inst.A],
+        "b": [str(v) for v in inst.b],
+        "c": [str(v) for v in inst.c],
+        "sense": inst.sense,
+    }
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def test_serialize_matches_the_json_dumps_text():
+    rng = random.Random(20261020)
+    huge = 10**299  # 300 digits
+
+    def entry(signed):
+        v = rng.choice((
+            rng.randint(0, 9), rng.randint(0, 10**9), rng.randint(huge, 10 * huge - 1)
+        ))
+        return -v if signed and rng.random() < 0.5 else v
+
+    insts = [
+        reduce(IPInstance.from_rows([[0, 0]], [0], [1, 2])).inner,  # n = 0
+        IPInstance.from_rows([[0]], [0], [-huge], "max"),
+    ]
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        insts.append(IPInstance.from_rows(
+            [[entry(False) for _ in range(n)] for _ in range(m)],
+            [entry(False) for _ in range(m)],
+            [entry(True) for _ in range(n)],
+            rng.choice(("min", "max")),
+        ))
+    assert insts[0].n == 0
+    for inst in insts:
+        assert serialize_instance(inst) == _reference_serialize(inst)
+    # both senses and 300-digit costs of either sign were drawn
+    costs = [v for inst in insts for v in inst.c]
+    assert {inst.sense for inst in insts} == {"min", "max"}
+    assert max(costs) >= huge and min(costs) <= -huge
 
 
 def test_digest_is_stable_and_content_sensitive():

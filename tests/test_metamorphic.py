@@ -10,6 +10,8 @@ counts as a status.  The point may differ on ties, so it is not compared.
 - A duplicate of a column at a worse cost is never needed: moving its mass
   to the original column keeps Ax = b and does not worsen the objective.
 - max c.x is -(min -c.x), at the same points.
+- Appending the sum of two rows, A_i + A_k = b_i + b_k, keeps the feasible
+  set but changes b, the aggregated rhs and every weight after it.
 
 The instances come from seeded generators: tiny ones shaped like the
 benchmark's mixed CLI workload (zero columns, zero right-hand sides, both
@@ -96,6 +98,12 @@ def _worse_duplicate(inst: IPInstance, rng: random.Random) -> IPInstance:
     return IPInstance.from_rows(A, inst.b, list(inst.c) + [inst.c[j] + worse], inst.sense)
 
 
+def _redundant_row(inst: IPInstance, rng: random.Random) -> IPInstance:
+    i, k = rng.randrange(inst.m), rng.randrange(inst.m)
+    row = tuple(u + v for u, v in zip(inst.A[i], inst.A[k]))
+    return IPInstance(inst.A + (row,), inst.b + (inst.b[i] + inst.b[k],), inst.c, inst.sense)
+
+
 RELATIONS = [_permute_rows, _permute_columns, _worse_duplicate]
 
 
@@ -129,3 +137,19 @@ def test_relations_hold_on_planted_instances(rhs_target):
         inst = _planted(rng, rhs_target)
         assert _outcome(inst)[0] == "optimal"
         _check_relations(inst, rng)
+
+
+def test_a_redundant_row_keeps_the_optimum():
+    # the sum row's rhs multiplies prod(b_i + 1), so the instances are drawn
+    # small enough that the changed one still aggregates to at most 10**5
+    rng = random.Random(20261020)
+    instances = [_tiny(rng) for _ in range(300)]
+    instances += [_planted(rng, target) for target in (200, 500, 1000) for _ in range(3)]
+    seen = set()
+    for inst in instances:
+        changed = _redundant_row(inst, rng)
+        assert math.prod(v + 1 for v in changed.b if v) - 1 <= 10**5
+        want = _outcome(inst)
+        seen.add(want[0])
+        assert _outcome(changed) == want, (inst, changed)
+    assert seen == {"optimal", "infeasible", "unbounded"}
