@@ -42,6 +42,11 @@ def aggregation_vector(b: Sequence[int]) -> tuple[int, ...]:
     return tuple(f)
 
 
+def _weigh(f: Sequence[int], A: Sequence[Sequence[int]], b: Sequence[int]) -> tuple:
+    a = tuple(sum(fi * aij for fi, aij in zip(f, column)) for column in zip(*A))
+    return a, sum(fi * bi for fi, bi in zip(f, b))
+
+
 def aggregate(
     A: Sequence[Sequence[int]], b: Sequence[int]
 ) -> tuple[tuple[int, ...], int]:
@@ -50,10 +55,7 @@ def aggregate(
     The row and right-hand side of the single-row surrogate.  Every
     coefficient is positive when A has no zero column.
     """
-    f = aggregation_vector(b)
-    a = tuple(sum(fi * aij for fi, aij in zip(f, column)) for column in zip(*A))
-    a0 = sum(fi * bi for fi, bi in zip(f, b))
-    return a, a0
+    return _weigh(aggregation_vector(b), A, b)
 
 
 def vertex_lower_bound(x0: Sequence[int]) -> int:
@@ -101,12 +103,22 @@ class KnapsackInstance(
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
 
-def build_knapsack(inst: IPInstance) -> KnapsackInstance:
-    """Run the whole construction on a minimize-canonical instance.
+AggregatedRow = namedtuple("AggregatedRow", "reduced multipliers weights rhs")
+AggregatedRow.__doc__ = "Reduction, its kept rows' multipliers, their row and rhs."
 
-    Reduces the instance, aggregates the kept rows, and penalizes the
-    objective so the surrogate's minimizer decides the original program.
-    After the reduction every kept column has a positive entry, so its box
+
+def aggregate_row(inst: IPInstance) -> AggregatedRow:
+    """The row stage: reduce the instance and weigh its kept rows."""
+    red = reduce(inst)
+    f = aggregation_vector(red.inner.b)
+    return AggregatedRow(red, f, *_weigh(f, red.inner.A, red.inner.b))
+
+
+def penalize(row: AggregatedRow) -> KnapsackInstance:
+    """The penalty stage: the surrogate of a minimize-canonical row.
+
+    Penalizes the objective so the surrogate's minimizer decides the
+    original program.  Every kept column has a positive entry, so its box
     bound u_j is finite and its column sum s_j positive.  Then
 
     - L = sum of c_j * u_j over c_j > 0 bounds c^T x at every feasible
@@ -127,23 +139,18 @@ def build_knapsack(inst: IPInstance) -> KnapsackInstance:
     makes the program unbounded depends on the kept rows being feasible,
     which only the solver decides.
     """
-    if inst.sense != SENSE_MIN:
+    inner = row.reduced.inner
+    if inner.sense != SENSE_MIN:
         raise ValidationError("build_knapsack requires a minimize-canonical instance")
-    red = reduce(inst)
-    inner = red.inner
-    weights, rhs = aggregate(inner.A, inner.b)
     col_sums = tuple(sum(column) for column in zip(*inner.A))
     bound = sum(cj * uj for cj, uj in zip(inner.c, box_bounds(inner)) if cj > 0)
     # ceil(-c_j / s_j) = -(c_j // s_j), without floats
     shift = max((-(cj // sj) for cj, sj in zip(inner.c, col_sums) if cj < 0), default=0)
     penalty = bound + shift * (sum(inner.b) + 1) + 1
     costs = tuple(cj + penalty * sj for cj, sj in zip(inner.c, col_sums))
-    return KnapsackInstance(
-        weights=weights,
-        rhs=rhs,
-        costs=costs,
-        upper_bound=bound,
-        shift=shift,
-        penalty=penalty,
-        reduced=red,
-    )
+    return KnapsackInstance(row.weights, row.rhs, costs, bound, shift, penalty, row.reduced)
+
+
+def build_knapsack(inst: IPInstance) -> KnapsackInstance:
+    """The whole construction on a minimize-canonical instance: both stages."""
+    return penalize(aggregate_row(inst))

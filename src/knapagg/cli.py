@@ -22,12 +22,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .aggregation import (
-    KnapsackInstance,
-    aggregation_vector,
-    build_knapsack,
-    vertex_lower_bound,
-)
+from .aggregation import AggregatedRow, aggregate_row, penalize, vertex_lower_bound
 from .errors import (
     CapExceeded,
     IterationLimit,
@@ -181,16 +176,16 @@ def _zero_column_reason(cost: int) -> str:
     return f"zero column, negative cost {cost}: unbounded if the kept rows are feasible"
 
 
-def _cmd_aggregate(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
+def _cmd_aggregate(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tuple[dict, str]:
     core = canonicalize_minimize(inst)
-    red = kp.reduced
+    red = row.reduced
     result = {
-        "aggregating_vector": list(aggregation_vector(red.inner.b)),
-        "aggregated_row": list(kp.weights),
-        "aggregated_rhs": kp.rhs,
+        "aggregating_vector": list(row.multipliers),
+        "aggregated_row": list(row.weights),
+        "aggregated_rhs": row.rhs,
         # reduce drops only rows with b_i = 0, each a factor of 1
-        "rhs_plus_one_product": kp.rhs + 1,
-        "rhs_bit_length": kp.rhs.bit_length(),
+        "rhs_plus_one_product": row.rhs + 1,
+        "rhs_bit_length": row.rhs.bit_length(),
         "columns_kept": list(red.column_map),
         "columns_dropped": [
             {
@@ -203,8 +198,9 @@ def _cmd_aggregate(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> t
     return result, "ok"
 
 
-def _cmd_solve(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
+def _cmd_solve(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tuple[dict, str]:
     budget = SolverBudget(max_rhs=args.budget_rhs, max_cells=args.budget_cells)
+    kp = penalize(row)
     sol = solve_original(inst, budget, knapsack=kp)
     result = {
         "status": sol.status,
@@ -228,16 +224,16 @@ def _cmd_solve(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple
     return result, status
 
 
-def _cmd_verify(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
+def _cmd_verify(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tuple[dict, str]:
     cap = args.cap
     # the checks run on the reduced instance and the aggregated row solve solves
-    inner = kp.reduced.inner
+    inner = row.reduced.inner
     rhs_vertex = check_rhs_vertex(inst.b, cap)
     # one enumeration and one hull of the original set serve every check
     hull = vertex_set(enumerate_feasible(inner.A, inner.b, cap))
-    preserved = check_vertex_preservation(kp.weights, kp.rhs, hull, cap)
-    lower = check_rhs_lower_bound(kp.rhs, hull)
-    sol = solve_original(canonicalize_minimize(inst), knapsack=kp)
+    preserved = check_vertex_preservation(row.weights, row.rhs, hull, cap)
+    lower = check_rhs_lower_bound(row.rhs, hull)
+    sol = solve_original(canonicalize_minimize(inst), knapsack=penalize(row))
     oracle = brute_force_optimum(inner, hull.points)
     agree = (
         None  # a solve refused for its budget decides nothing
@@ -268,13 +264,13 @@ def _cmd_verify(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tupl
     return {"checks": checks, "falsifications": falsifications}, status
 
 
-def _cmd_bound(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
+def _cmd_bound(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tuple[dict, str]:
     point = tuple(
         parse_int(v, f"--vertex[{k}]") for k, v in enumerate(args.vertex.split(","))
     )
     ev = evaluate(inst, point)  # raises on bad dimension or negative entries
-    red = kp.reduced
-    base = {"point": list(point), "aggregated_rhs": kp.rhs}
+    red = row.reduced
+    base = {"point": list(point), "aggregated_rhs": row.rhs}
     if not ev.feasible:
         base["residual"] = list(ev.residual)
         base["is_vertex"] = False
@@ -309,21 +305,21 @@ def _cmd_bound(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple
     bound = vertex_lower_bound(point)
     base["is_vertex"] = True
     base["product_bound"] = bound
-    base["slack"] = kp.rhs - bound
+    base["slack"] = row.rhs - bound
     return base, "ok"
 
 
-def _cmd_oracle(inst: IPInstance, kp: KnapsackInstance, args: Namespace) -> tuple[dict, str]:
-    inner = kp.reduced.inner
+def _cmd_oracle(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tuple[dict, str]:
+    inner = row.reduced.inner
     pts = enumerate_feasible(inner.A, inner.b, args.cap)
-    agg = enumerate_feasible((kp.weights,), (kp.rhs,), args.cap)
+    agg = enumerate_feasible((row.weights,), (row.rhs,), args.cap)
     result = {
         "coordinates": "kept columns only",
-        "columns_kept": list(kp.reduced.column_map),
+        "columns_kept": list(row.reduced.column_map),
         "original": _set_block(pts, args.pivot_cap),
         "aggregated": {
-            "row": list(kp.weights),
-            "rhs": kp.rhs,
+            "row": list(row.weights),
+            "rhs": row.rhs,
             **_set_block(agg, args.pivot_cap),
         },
     }
@@ -423,9 +419,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             "cols": inst.n,
             "sense": inst.sense,
         }
-        # the one surrogate every subcommand reads
-        kp = build_knapsack(canonicalize_minimize(inst))
-        result, status = _HANDLERS[args.cmd](inst, kp, args)
+        # the one row every subcommand reads; solve and verify penalize it
+        row = aggregate_row(canonicalize_minimize(inst))
+        result, status = _HANDLERS[args.cmd](inst, row, args)
         report["result"] = result
         return _emit(report, status, started)
     except KnapaggError as exc:

@@ -79,9 +79,6 @@ class IPInstance(namedtuple("IPInstance", "A b c sense")):
     def n(self) -> int:
         return len(self.A[0])
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.A)
-
     @classmethod
     def from_rows(
         cls,

@@ -15,6 +15,7 @@ from knapagg import (
     reduce,
     vertex_lower_bound,
 )
+from knapagg.aggregation import AggregatedRow, aggregate_row, penalize
 
 
 def test_aggregation_vector_examples():
@@ -199,8 +200,38 @@ def test_build_knapsack_single_row():
 
 
 def test_build_knapsack_requires_min_sense():
-    with pytest.raises(ValidationError):
+    message = "build_knapsack requires a minimize-canonical instance"
+    with pytest.raises(ValidationError, match=message):
         build_knapsack(IPInstance.from_rows([[1]], [1], [1], sense="max"))
+    # the row stage takes either sense; the penalty stage refuses the row
+    row = aggregate_row(IPInstance.from_rows([[1, 2]], [3], [1, -1], sense="max"))
+    assert (row.weights, row.rhs) == ((1, 2), 3)
+    with pytest.raises(ValidationError) as caught:
+        penalize(row)
+    assert str(caught.value) == message
+
+
+def test_build_knapsack_is_the_penalty_stage_over_the_row_stage():
+    rng = random.Random(2828)
+    seen = {"zero rhs row": 0, "zero column": 0, "negative cost": 0}
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        A = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice((0, 1, 2, 4, 7)) for _ in range(m)]
+        c = [rng.randint(-6, 6) for _ in range(n)]
+        inst = IPInstance.from_rows(A, b, c)
+        row = aggregate_row(inst)
+        assert isinstance(row, AggregatedRow)
+        red = reduce(inst)
+        assert row.reduced == red
+        assert row.multipliers == aggregation_vector(red.inner.b)
+        assert (row.weights, row.rhs) == aggregate(red.inner.A, red.inner.b)
+        assert build_knapsack(inst) == penalize(row)
+        seen["zero rhs row"] += 0 in b
+        seen["zero column"] += bool(red.zero_columns)
+        seen["negative cost"] += min(c) < 0
+    assert min(seen.values()) > 30, seen
 
 
 def test_build_knapsack_leaves_unboundedness_to_the_solver():

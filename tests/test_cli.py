@@ -542,15 +542,20 @@ def _count_calls(monkeypatch, fn):
 @pytest.mark.parametrize("cmd", ["aggregate", "solve", "verify", "bound", "oracle"])
 @pytest.mark.parametrize("case", sorted(set(PINNED) - {"malformed"}))
 def test_each_call_runs_the_pipeline_once(tmp_path, capsys, monkeypatch, case, cmd):
-    stages = (knapagg.instance.reduce, knapagg.aggregation.aggregate,
-              knapagg.aggregation.build_knapsack)
+    # main runs the row stage once; only solve and verify read the penalty
+    stages = (knapagg.instance.reduce, knapagg.aggregation.aggregate_row,
+              knapagg.aggregation.penalize, knapagg.aggregation.aggregation_vector)
     counts = [_count_calls(monkeypatch, fn) for fn in stages]
     argv, _ = _pinned_run(tmp_path, case, cmd)
     if cmd == "bound" and "--vertex" not in argv:
         argv += ["--vertex", ",".join("0" * len(PINNED[case]["c"]))]
     main(argv)
     assert json.loads(capsys.readouterr().out)["command"] == cmd
-    assert [len(calls) for calls in counts] == [1, 1, 1]
+    reduced, rows, penalized, vectors = map(len, counts)
+    assert (reduced, rows) == (1, 1)
+    assert penalized == (1 if cmd in ("solve", "verify") else 0)
+    if cmd == "aggregate":  # its multipliers come from the row stage
+        assert vectors == 1
 
 
 def test_cli_imports_no_private_name():
@@ -692,6 +697,17 @@ def test_aggregate_words_each_dropped_column(tmp_path, capsys):
             "reason": "zero column, negative cost -2: unbounded if the kept rows are feasible",
         },
     ]
+    # under sense max a reason is worded on the canonical (negated) cost:
+    # maximizing 3 x2 is unbounded, maximizing -2 x3 fixes x3 to 0
+    code, rep = _run(capsys, ["aggregate", _write(tmp_path, {**doc, "sense": "max"})])
+    assert code == 0
+    assert rep["result"]["columns_dropped"][1:] == [
+        {
+            "index": "2",
+            "reason": "zero column, negative cost -3: unbounded if the kept rows are feasible",
+        },
+        {"index": "3", "reason": "zero column, cost >= 0, variable fixed to 0"},
+    ]
 
 
 def test_verify_checks_the_restricted_rows_and_rhs_vertex_the_given_b(
@@ -724,12 +740,12 @@ def test_verify_enumerates_and_hulls_the_original_set_once(
 ):
     hulled = _count_calls(monkeypatch, knapagg.oracle.vertex_set)
     enumerated = _count_calls(monkeypatch, knapagg.oracle.enumerate_feasible)
-    built = _count_calls(monkeypatch, knapagg.aggregation.build_knapsack)
+    penalized = _count_calls(monkeypatch, knapagg.aggregation.penalize)
     code, rep = _run(capsys, ["verify", _write(tmp_path, PINNED[case])])
     assert code == 0 and rep["status"] == "ok"
     assert len(hulled) == hulls
     assert len(enumerated) == enumerations
-    assert len(built) == 1  # the surrogate is built once, by main
+    assert len(penalized) == 1  # the row main built is penalized once, by verify
 
 
 def _as_report(value):

@@ -1,4 +1,4 @@
-"""The contract of the eleven result and instance records.
+"""The contract of the twelve result and instance records.
 
 Each record is an immutable named tuple: it builds by position and by
 keyword with fixed defaults, refuses assignment, keeps no instance
@@ -30,6 +30,7 @@ from knapagg import (
     build_knapsack,
     reduce,
 )
+from knapagg.aggregation import AggregatedRow
 
 _INST = IPInstance(((1, 1, 0), (0, 1, 1)), (1, 1), (1, 1, 1))
 _PTS = PointSet(3, ((0, 1, 0), (1, 0, 1)))
@@ -39,6 +40,7 @@ RECORDS = [
     (IPInstance, (((1, 2),), (3,), (4, -5)), {"sense": "min"}),
     (Evaluation, ((0, -1), 3, False), {}),
     (Reduction, (_INST, (0, 1, 2), (), (), 3), {}),
+    (AggregatedRow, (reduce(_INST), (1, 2), (1, 3, 2), 3), {}),
     (KnapsackInstance, ((1, 3), 3, (4, 5), 6, 0, 7, reduce(_INST)), {}),
     (SolverBudget, (), {"max_rhs": 10_000_000, "max_cells": 1_000_000_000}),
     (KnapsackSolution, ((0, 1, 0), 1, "optimal"), {"detail": None}),
