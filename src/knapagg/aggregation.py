@@ -32,13 +32,11 @@ def aggregation_vector(b: Sequence[int]) -> tuple[int, ...]:
     """
     if len(b) == 0:
         raise ValidationError("aggregation needs at least one row")
+    if min(b) < 0:
+        raise ValidationError("right-hand side entries must be nonnegative")
     f = [1]
     for bi in b[:-1]:
-        if bi < 0:
-            raise ValidationError("right-hand side entries must be nonnegative")
         f.append(f[-1] * (bi + 1))
-    if b[-1] < 0:
-        raise ValidationError("right-hand side entries must be nonnegative")
     return tuple(f)
 
 

@@ -161,8 +161,8 @@ def _set_block(pts: PointSet, pivot_cap: int) -> dict:
         for p, wit in sorted(report.witnesses.items())
     }
     return {
-        "points": list(report.points.points),
-        "vertices": list(report.vertices),
+        "points": report.points.points,
+        "vertices": report.vertices,
         "witnesses": witnesses,
     }
 
@@ -180,13 +180,13 @@ def _cmd_aggregate(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tup
     core = canonicalize_minimize(inst)
     red = row.reduced
     result = {
-        "aggregating_vector": list(row.multipliers),
-        "aggregated_row": list(row.weights),
+        "aggregating_vector": row.multipliers,
+        "aggregated_row": row.weights,
         "aggregated_rhs": row.rhs,
         # reduce drops only rows with b_i = 0, each a factor of 1
         "rhs_plus_one_product": row.rhs + 1,
         "rhs_bit_length": row.rhs.bit_length(),
-        "columns_kept": list(red.column_map),
+        "columns_kept": red.column_map,
         "columns_dropped": [
             {
                 "index": j,
@@ -204,18 +204,18 @@ def _cmd_solve(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tuple[d
     sol = solve_original(inst, budget, knapsack=kp)
     result = {
         "status": sol.status,
-        "x": list(sol.x) if sol.x is not None else None,
+        "x": sol.x,
         "objective": sol.objective,
-        "residual": list(sol.residual) if sol.residual is not None else None,
+        "residual": sol.residual,
         "detail": sol.detail,
         "surrogate": {
-            "weights": list(kp.weights),
+            "weights": kp.weights,
             "rhs": kp.rhs,
-            "costs": list(kp.costs),
+            "costs": kp.costs,
             "objective_upper_bound": kp.upper_bound,
             "cost_shift": kp.shift,
             "penalty": kp.penalty,
-            "columns_kept": list(kp.reduced.column_map),
+            "columns_kept": kp.reduced.column_map,
         },
     }
     status = {OPTIMAL: "ok", INFEASIBLE: "infeasible", BUDGET_EXCEEDED: "budget_exceeded"}[
@@ -248,7 +248,7 @@ def _cmd_verify(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tuple[
         "oracle_objective": oracle.value,
     }
     # name, report entry, holds (None: undecided), falsification key and data
-    table = [("rhs_vertex", rhs_vertex, rhs_vertex, "rhs", list(inst.b))]
+    table = [("rhs_vertex", rhs_vertex, rhs_vertex, "rhs", inst.b)]
     for name, o in (("vertex_preservation", preserved), ("rhs_lower_bound", lower)):
         entry = {"holds": o.holds, "vacuous": o.vacuous}
         table.append((name, entry, o.holds, "data", o.counterexample))
@@ -270,9 +270,9 @@ def _cmd_bound(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tuple[d
     )
     ev = evaluate(inst, point)  # raises on bad dimension or negative entries
     red = row.reduced
-    base = {"point": list(point), "aggregated_rhs": row.rhs}
+    base = {"point": point, "aggregated_rhs": row.rhs}
     if not ev.feasible:
-        base["residual"] = list(ev.residual)
+        base["residual"] = ev.residual
         base["is_vertex"] = False
         base["detail"] = "point does not satisfy Ax = b"
         return base, "input_error"
@@ -315,10 +315,10 @@ def _cmd_oracle(inst: IPInstance, row: AggregatedRow, args: Namespace) -> tuple[
     agg = enumerate_feasible((row.weights,), (row.rhs,), args.cap)
     result = {
         "coordinates": "kept columns only",
-        "columns_kept": list(row.reduced.column_map),
+        "columns_kept": row.reduced.column_map,
         "original": _set_block(pts, args.pivot_cap),
         "aggregated": {
-            "row": list(row.weights),
+            "row": row.weights,
             "rhs": row.rhs,
             **_set_block(agg, args.pivot_cap),
         },

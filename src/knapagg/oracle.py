@@ -99,7 +99,7 @@ def enumerate_feasible(
     Every column needs a positive entry, which gives it the natural bound
     min(b_i // A_ij); an all-zero column has no bound and is refused with
     ValidationError.  Raises CapExceeded as soon as more than cap points
-    have been found; nothing partial is returned.
+    have been found or counted; nothing partial is returned.
 
     The search assigns variables in ascending order of their bound and
     prunes any branch whose remaining columns cannot touch a row with
@@ -115,8 +115,8 @@ def enumerate_feasible(
     picks out (extended Euclid) and x_k follows by exact division.  Either
     way only the other rows remain to check.  A single column is solved
     by division.  One row with three or more columns takes the same search
-    on a scalar residual, with no call per point: the cap is checked
-    against the length of each residue-class range before it is stored.
+    on a scalar residual, with no call per point.  A residue class whose
+    every value is a point is counted against the cap before it is stored.
     """
     m = len(A)
     if m == 0:
@@ -190,7 +190,7 @@ def enumerate_feasible(
                 if rp % g:
                     continue
                 us = range(rp // g * inv % step, rp // ajp + 1, step)
-                if len(found) + len(us) > cap:
+                if len(found) + (us.stop - us.start + step - 1) // step > cap:
                     raise CapExceeded(f"more than {cap} feasible points")
                 x[t] = v
                 w = (rp - us.start * ajp) // akp
@@ -239,6 +239,8 @@ def enumerate_feasible(
                 return
             else:
                 values = range(rp // g * inv % step, hi + 1, step)
+                if not rest and len(found) + (hi - values.start + step) // step > cap:
+                    raise CapExceeded(f"more than {cap} feasible points")
             for v in values:
                 w = (rp - v * ajp) // akp
                 for i, aj, ak in rest:
@@ -508,11 +510,7 @@ def brute_force_optimum(inst: IPInstance, pts: PointSet) -> BruteForceResult:
     return BruteForceResult("optimal", best, argmin)
 
 
-def check_rhs_vertex(
-    b: Sequence[int],
-    cap: int = DEFAULT_POINT_CAP,
-    pivot_cap: int = DEFAULT_PIVOT_CAP,
-) -> bool:
+def check_rhs_vertex(b: Sequence[int], cap: int = DEFAULT_POINT_CAP) -> bool:
     """The right-hand side minimizes the coordinate sum and is a hull vertex.
 
     Builds the aggregating vector f for b, enumerates every nonnegative
@@ -530,10 +528,8 @@ def check_rhs_vertex(
     vertex property itself survives: b is the lexicographically largest
     point of the set when coordinates are compared from the last one down,
     hence always an extreme point, and the signed-order test proves it so
-    without the LP.  A negative pivot_cap raises ValidationError first.
+    without the LP.
     """
-    if pivot_cap < 0:
-        raise ValidationError("pivot cap must be nonnegative")
     bt = tuple(int(v) for v in b)
     f = aggregation_vector(bt)
     a0 = sum(fi * bi for fi, bi in zip(f, bt))
@@ -544,7 +540,7 @@ def check_rhs_vertex(
         return False
     if all(v > 0 for v in bt) and minimizers != [bt]:
         return False
-    return witness(bt, pts.points, pivot_cap) is None
+    return witness(bt, pts.points, DEFAULT_PIVOT_CAP) is None
 
 
 def check_vertex_preservation(
@@ -552,7 +548,6 @@ def check_vertex_preservation(
     a0: int,
     report: VertexReport,
     cap: int = DEFAULT_POINT_CAP,
-    pivot_cap: int = DEFAULT_PIVOT_CAP,
 ) -> CheckOutcome:
     """Every vertex of the original hull stays a vertex after aggregation.
 
@@ -560,16 +555,13 @@ def check_vertex_preservation(
     it, and report is vertex_set of the original feasible set.  Enumerates
     the aggregated feasible set (every entry of a must be positive) and
     proves each original vertex lies outside the hull of the other
-    aggregated points.  An empty feasible set reports vacuous success.  A
-    negative pivot_cap raises ValidationError first.
+    aggregated points.  An empty feasible set reports vacuous success.
     """
-    if pivot_cap < 0:
-        raise ValidationError("pivot cap must be nonnegative")
     if not report.points.points:
         return CheckOutcome(True, vacuous=True)
     agg = enumerate_feasible((a,), (a0,), cap)
     for v in report.vertices:
-        cited = witness(v, agg.points, pivot_cap)
+        cited = witness(v, agg.points, DEFAULT_PIVOT_CAP)
         if cited is not None:
             return CheckOutcome(
                 False,

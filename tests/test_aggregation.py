@@ -32,6 +32,12 @@ def test_aggregation_vector_rejects_bad_input():
         aggregation_vector((2, -1))
 
 
+def test_aggregation_vector_refuses_a_negative_entry_before_the_last():
+    with pytest.raises(ValidationError) as raised:
+        aggregation_vector((3, -1, 2))
+    assert str(raised.value) == "right-hand side entries must be nonnegative"
+
+
 def test_rhs_telescopes_to_product():
     rng = random.Random(99)
     for _ in range(50):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -176,3 +177,45 @@ def test_every_call_keeps_the_exit_and_report_contract(tmp_path, capsys):
         statuses.add(report["status"])
     # the draws reach every status but a falsified check
     assert statuses == set(_STATUS_EXIT) - {"falsified"} | {"usage_error"}
+
+
+# 10**19 + 1 points in one residue class, past sys.maxsize, so len() of its
+# range would raise OverflowError instead of refusing the cap
+WIDE_ROW = {"A": [["1", "1", "1"]], "b": ["10000000000000000000"], "c": ["1", "1", "1"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle"], ["bound", "--vertex", "10000000000000000000,0,0"], ["verify"]],
+    ids=["oracle", "bound", "verify"],
+)
+def test_a_residue_class_past_sys_maxsize_is_refused_by_the_cap(tmp_path, capsys, argv):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(WIDE_ROW))
+    code = main([argv[0], str(path), *argv[1:]])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["status"] == "cap_exceeded"
+    assert report["error"] == {
+        "type": "CapExceeded",
+        "message": "more than 1000000 feasible points",
+    }
+
+
+def test_verify_refuses_a_huge_residue_class_before_storing_it(tmp_path, capsys):
+    # check_rhs_vertex's row (1, 10**2200 + 1) has one residue class of
+    # 10**2200 + 1 points, each with a 2,200-digit entry: storing 10**4 of
+    # them would take about 10 MB, and the default cap's 10**6 about 1 GB
+    big = str(10**2200)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"A": [["1", "0"], ["0", "1"]], "b": [big, big], "c": ["1", "1"]}))
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(path), "--cap", "10000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["error"]["message"] == "more than 10000 feasible points"
+    assert peak < 10**6

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -121,6 +122,55 @@ def test_enumerate_cap():
         enumerate_feasible(((1, 1),), (50,), cap=10)
     # exactly at the cap is fine
     assert len(enumerate_feasible(((1, 1),), (9,), cap=10)) == 10
+
+
+@pytest.mark.parametrize(
+    "A, b, error, message",
+    [
+        ((), (), ValidationError, "at least one constraint row is required"),
+        (((1, 2), (1,)), (1, 1), ValidationError, "rows must all have the same length"),
+        (((1, -2),), (1,), ValidationError, "matrix entries must be nonnegative"),
+        (((1, 2),), (-1,), ValidationError, "right-hand side entries must be nonnegative"),
+        (
+            ((1, 2), (2, 1)),
+            (3,),
+            DimensionMismatch,
+            "right-hand side length does not match the rows",
+        ),
+    ],
+)
+def test_enumerate_refuses_bad_input(A, b, error, message):
+    with pytest.raises(error) as raised:
+        enumerate_feasible(A, b)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "A, b, cap",
+    [
+        # 100,001 points, all in the one residue class of the last two columns
+        (((1, 2),), (2 * 10**5,), 10**5),
+        # a class longer than sys.maxsize, in the one-row walk
+        (((1, 1, 1),), (10**19,), 10**4),
+        # classes of 2,200-digit values in the multi-row walk's tail: the row
+        # check_rhs_vertex builds for b = (10**2200, 10**2200), and two rows
+        # of which the last two columns touch only the first; storing up to
+        # the cap would take about 10 MB
+        (((1, 10**2200 + 1),), (10**4400 + 2 * 10**2200,), 10**4),
+        (((1, 2, 0), (0, 0, 1)), (10**2200, 5), 10**4),
+    ],
+)
+def test_enumerate_counts_a_residue_class_before_storing_it(A, b, cap):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as raised:
+            enumerate_feasible(A, b, cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == f"more than {cap} feasible points"
+    assert peak < 10**6
 
 
 def test_enumerate_no_columns():
@@ -323,10 +373,6 @@ def test_negative_pivot_cap_is_refused_before_any_work(monkeypatch):
         vertex_set(pts, pivot_cap=-1)
     with pytest.raises(ValidationError):
         check_convex_combination((1,), [(0,), (2,)], pivot_cap=-1)
-    with pytest.raises(ValidationError):
-        check_rhs_vertex((1, 1), pivot_cap=-1)
-    with pytest.raises(ValidationError):
-        check_vertex_preservation((1, 1), 2, VertexReport(pts, ()), pivot_cap=-1)
     # zero pivots stays valid: the midpoint pass decides (1,) without an LP
     monkeypatch.undo()
     assert check_convex_combination((3,), [], pivot_cap=0) is None
